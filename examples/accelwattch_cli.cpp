@@ -8,8 +8,9 @@
  * Usage:
  *   accelwattch_cli [options]
  *     --mix CLASS:WEIGHT[,CLASS:WEIGHT...]   instruction mix
- *                (classes: iadd imul imad fadd fmul ffma dadd dmul dfma
- *                 sqrt log sin exp tensor tex ldg stg lds sts ldc nanosleep)
+ *                (classes: iadd imul imad ilogic fadd fmul ffma dadd dmul
+ *                 dfma sqrt log sin exp tensor tex ldg stg lds sts ldc bra
+ *                 bar mov nop nanosleep exit)
  *     --ctas N            grid size                      [320]
  *     --warps N           warps per CTA                  [8]
  *     --lanes N           active threads per warp (1-32) [32]
@@ -53,6 +54,7 @@
 #include <sstream>
 #include <string>
 
+#include "arch/isa.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "core/calibration.hpp"
@@ -72,25 +74,12 @@ using namespace aw;
 namespace {
 
 OpClass
-opClassFromToken(const std::string &token)
+opClassOrDie(const std::string &token)
 {
-    static const std::pair<const char *, OpClass> table[] = {
-        {"iadd", OpClass::IntAdd},   {"imul", OpClass::IntMul},
-        {"imad", OpClass::IntMad},   {"ilogic", OpClass::IntLogic},
-        {"fadd", OpClass::FpAdd},    {"fmul", OpClass::FpMul},
-        {"ffma", OpClass::FpFma},    {"dadd", OpClass::DpAdd},
-        {"dmul", OpClass::DpMul},    {"dfma", OpClass::DpFma},
-        {"sqrt", OpClass::Sqrt},     {"log", OpClass::Log},
-        {"sin", OpClass::Sin},       {"exp", OpClass::Exp},
-        {"tensor", OpClass::Tensor}, {"tex", OpClass::Tex},
-        {"ldg", OpClass::LdGlobal},  {"stg", OpClass::StGlobal},
-        {"lds", OpClass::LdShared},  {"sts", OpClass::StShared},
-        {"ldc", OpClass::LdConst},   {"nanosleep", OpClass::NanoSleep},
-    };
-    for (const auto &[name, op] : table)
-        if (token == name)
-            return op;
-    fatal("unknown op class '%s' (see --help)", token.c_str());
+    OpClass op{};
+    if (!opClassFromToken(token, op))
+        fatal("unknown op class '%s' (see --help)", token.c_str());
+    return op;
 }
 
 std::vector<MixEntry>
@@ -106,7 +95,7 @@ parseMix(const std::string &spec)
         size_t colon = item.find(':');
         if (colon == std::string::npos)
             fatal("mix entry '%s' must be CLASS:WEIGHT", item.c_str());
-        mix.push_back({opClassFromToken(item.substr(0, colon)),
+        mix.push_back({opClassOrDie(item.substr(0, colon)),
                        std::stod(item.substr(colon + 1))});
         if (comma == std::string::npos)
             break;

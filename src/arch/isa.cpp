@@ -1,8 +1,46 @@
 #include "arch/isa.hpp"
 
+#include <iterator>
+
 #include "common/log.hpp"
 
 namespace aw {
+
+namespace {
+
+/** Indexed by OpClass. */
+constexpr const char *kOpClassTokens[] = {
+    "iadd", "imul", "imad", "ilogic",
+    "fadd", "fmul", "ffma",
+    "dadd", "dmul", "dfma",
+    "sqrt", "log", "sin", "exp",
+    "tensor", "tex",
+    "ldg", "stg", "lds", "sts", "ldc",
+    "bra", "bar", "mov", "nop", "nanosleep", "exit",
+};
+static_assert(std::size(kOpClassTokens) == kNumOpClasses,
+              "every op class needs a token");
+
+} // namespace
+
+const char *
+opClassToken(OpClass c)
+{
+    size_t i = static_cast<size_t>(c);
+    AW_ASSERT(i < kNumOpClasses);
+    return kOpClassTokens[i];
+}
+
+bool
+opClassFromToken(std::string_view token, OpClass &out)
+{
+    for (size_t i = 0; i < kNumOpClasses; ++i)
+        if (token == kOpClassTokens[i]) {
+            out = static_cast<OpClass>(i);
+            return true;
+        }
+    return false;
+}
 
 const std::string &
 sassOpName(SassOp op)

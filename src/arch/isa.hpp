@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "arch/power_components.hpp"
 
@@ -107,6 +108,16 @@ enum class PtxOp : uint8_t
     BRA, BAR_SYNC, NOP, NANOSLEEP, RET,
     NumOps
 };
+
+/**
+ * Short lower-case token of an op class ("ffma", "ldg", "bar"): the
+ * grammar of the CLI's --mix flag and of an awd request's kernel mix.
+ * Every class has one.
+ */
+const char *opClassToken(OpClass c);
+
+/** Inverse of opClassToken; false for a token no class has. */
+bool opClassFromToken(std::string_view token, OpClass &out);
 
 /** SASS mnemonic, e.g. "IADD3". */
 const std::string &sassOpName(SassOp op);

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -322,13 +323,20 @@ jsonNumber(double v)
         return "0";
     }
     // %.17g round-trips any double but is noisy; try shorter forms first.
-    char buf[40];
+    // to_chars(general, prec) is printf's %.*g in the "C" locale, so the
+    // spelling (and every key built from it) is the printf one.
+    char buf[32];
+    char *end = buf;
     for (int prec : {6, 12, 17}) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
+        end = std::to_chars(buf, buf + sizeof buf, v,
+                            std::chars_format::general, prec)
+                  .ptr;
+        double back = 0;
+        const auto [ptr, ec] = std::from_chars(buf, end, back);
+        if (ec == std::errc() && back == v)
             break;
     }
-    return buf;
+    return std::string(buf, end);
 }
 
 } // namespace aw::obs

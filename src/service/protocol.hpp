@@ -25,6 +25,11 @@
  *              aw.awd_flight.v1 flight-recorder dump). Any other
  *              scope is a range-checked protocol error.
  *
+ * An estimate's `kernel` names its mix ops by opClassToken (the CLI's
+ * --mix tokens; barriers are refused). Its `seed` is a JSON number up
+ * to 2^53 and a decimal string above, so every 64-bit seed parses back
+ * exactly.
+ *
  * Responses (`status`): ok | shed | deadline | error. A shed response
  * carries `retry_after_ms` (structured backpressure); a degraded one
  * flags how (`degraded`: reduced_fidelity | cached); an idempotent

@@ -13,6 +13,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -81,6 +82,19 @@ setNonBlocking(int fd)
 {
     int flags = ::fcntl(fd, F_GETFL, 0);
     return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+/** Turn Nagle's algorithm off on a session socket. With it on, a reply
+ *  sent while the session's previous reply is still unacknowledged is
+ *  held until that ACK arrives, and a pipelining client delays its ACK
+ *  until its next request: every reply then waits one request gap. The
+ *  reactor's one send() per session per turn is the only batching. */
+bool
+setNoDelay(int fd)
+{
+    int one = 1;
+    return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) ==
+           0;
 }
 
 /** One client connection; owned exclusively by the reactor thread. */
@@ -247,6 +261,7 @@ struct AwdServer::Impl
     int listenFd = -1;
     int wakeRead = -1;
     int wakeWrite = -1;
+    bool noDelayWarned = false; ///< reactor thread only
 
     std::atomic<bool> running{false};
     std::atomic<bool> stopping{false};
@@ -1246,6 +1261,13 @@ struct AwdServer::Impl
                         if (!setNonBlocking(fd)) {
                             ::close(fd);
                             continue;
+                        }
+                        if (!setNoDelay(fd) && !noDelayWarned) {
+                            noDelayWarned = true;
+                            warn("awd: TCP_NODELAY failed on a session "
+                                 "socket (%s); its replies may wait for "
+                                 "the client's next request",
+                                 std::strerror(errno));
                         }
                         Session sess;
                         sess.id = nextSession;

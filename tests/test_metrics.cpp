@@ -9,6 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -320,6 +324,21 @@ TEST(JsonTest, MalformedInputIsFatal)
                 "JSON parse error");
 }
 
+/** The snprintf/strtod spelling jsonNumber had before it moved to
+ *  to_chars. Replies, content keys and result-cache keys are built from
+ *  this spelling, so the two must agree byte for byte. */
+std::string
+printfJsonNumber(double v)
+{
+    char buf[40];
+    for (int prec : {6, 12, 17}) {
+        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
 TEST(JsonTest, NumberFormattingRoundTrips)
 {
     for (double v : {0.0, 1.0, -2.5, 0.1, 1e-9, 6.02214076e23, 1.0 / 3.0}) {
@@ -328,6 +347,36 @@ TEST(JsonTest, NumberFormattingRoundTrips)
     }
     // Non-finite values must still yield valid JSON.
     EXPECT_EQ(parseJson(jsonNumber(std::nan(""))).asNumber(), 0.0);
+
+    std::vector<double> values = {
+        0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::nextafter(std::numeric_limits<double>::min(), 0.0),
+        9007199254740993.0, 0.1 + 0.2, 2.5e-5, 123456.5};
+    Rng rng(0x6a736f6eULL);
+    for (int i = 0; i < 20000; ++i) {
+        // Random bit patterns cover every exponent, subnormals included.
+        const uint64_t bits = rng.next();
+        double v = 0;
+        std::memcpy(&v, &bits, sizeof v);
+        if (std::isfinite(v))
+            values.push_back(v);
+        const double scale = std::pow(10.0, rng.uniform() * 600 - 300);
+        values.push_back(std::round(rng.uniform() * 1e6) * scale);
+        values.push_back(static_cast<double>(rng.next() >> (i % 64)));
+        values.push_back(std::round(rng.uniform() * 1e4) / 1e4);
+        values.push_back((rng.uniform() - 0.5) * 1e-310);
+    }
+    for (double v : values) {
+        const std::string s = jsonNumber(v);
+        ASSERT_EQ(s, printfJsonNumber(v)) << std::hexfloat << v;
+        const double back = parseJson(s).asNumber();
+        ASSERT_EQ(back, v) << s;
+        ASSERT_EQ(std::signbit(back), std::signbit(v)) << s;
+    }
 }
 
 } // namespace

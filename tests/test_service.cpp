@@ -9,10 +9,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,6 +23,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -34,6 +37,7 @@
 #include "service/server.hpp"
 #include "service/service_obs.hpp"
 #include "trace/workload.hpp"
+#include "workloads/validation.hpp"
 
 using namespace aw;
 
@@ -337,6 +341,65 @@ TEST_F(ServiceE2E, OversizedIdIsRejectedWithoutKillingTheDaemon)
     ASSERT_TRUE(pong) << pong.error().message;
 }
 
+TEST_F(ServiceE2E, FullWidthSeedMatchesDirectSimulation)
+{
+    // makeKernel seeds every descriptor with hash64(name), far above
+    // 2^53; the request carries it as a decimal string. The reply must
+    // be exactly what an uncached simulation of the same descriptor
+    // gives, so the daemon simulated the seed the client sent.
+    const auto &suite = validationSuite();
+    const auto it = std::find_if(
+        suite.begin(), suite.end(), [](const ValidationKernel &vk) {
+            return vk.kernel.seed > (uint64_t{1} << 53) &&
+                   vk.kernel.mixFraction(OpClass::Bar) == 0;
+        });
+    ASSERT_NE(it, suite.end());
+    const KernelDescriptor &k = it->kernel;
+    EXPECT_NE(service::requestToJson(estimateOf(k))
+                  .find("\"seed\":\"" + std::to_string(k.seed) + "\""),
+              std::string::npos);
+
+    service::AwdClient c = client();
+    Result<service::EstimateResponse> r = c.estimate(estimateOf(k));
+    ASSERT_TRUE(r) << k.name << ": " << r.error().message;
+    ASSERT_EQ(r->status, "ok");
+
+    AccelWattchCalibrator &cal = sharedVoltaCalibrator();
+    const AccelWattchModel &model = cal.variant(Variant::SassSim).model;
+    const KernelActivity act = cal.simulator().runSass(k, SimOptions{});
+    EXPECT_EQ(r->powerW, model.evaluateKernel(act).totalW()) << k.name;
+    EXPECT_EQ(r->elapsedSec, act.elapsedSec) << k.name;
+}
+
+TEST_F(ServiceE2E, ControlOpOnlyMixesAreSimulatedOrRefused)
+{
+    // Control-flow and issue-only classes alone make degenerate
+    // kernels. Each must be simulated and answered, or refused with a
+    // structured error (bar, see protocol.cpp) — never take the daemon
+    // down or hang; the deadline turns a simulation that never ends
+    // into a failed assertion.
+    for (OpClass op : {OpClass::Branch, OpClass::Bar, OpClass::Mov,
+                       OpClass::Nop, OpClass::Exit, OpClass::NanoSleep}) {
+        KernelDescriptor k = testKernel(
+            std::string("svc_e2e_only_") + opClassToken(op));
+        k.mix = {{op, 1.0}};
+        service::EstimateRequest req = estimateOf(k);
+        req.deadlineMs = 30e3;
+        service::AwdClient c(quickClientOptions(server_->port()));
+        Result<service::EstimateResponse> r = c.estimate(req);
+        if (op == OpClass::Bar) {
+            ASSERT_FALSE(r);
+            EXPECT_EQ(r.error().cause, FailCause::ProtocolError);
+            continue;
+        }
+        ASSERT_TRUE(r) << opClassToken(op) << ": " << r.error().message;
+        EXPECT_EQ(r->status, "ok") << opClassToken(op);
+        EXPECT_GT(r->powerW, 0) << opClassToken(op);
+    }
+    Result<service::EstimateResponse> pong = client().ping();
+    ASSERT_TRUE(pong) << pong.error().message;
+}
+
 TEST(ServiceClient, DeadPortExhaustsRetriesWithoutHanging)
 {
     // Nothing listens on port 1 of the loopback; every attempt must
@@ -538,6 +601,151 @@ TEST(ServiceDrain, StopWithoutTrafficExitsCleanly)
     // And the port is actually released: a fresh client can't connect.
     Result<service::EstimateResponse> dead = c.ping();
     EXPECT_FALSE(dead);
+}
+
+TEST(ServiceLatency, PipelinedHitsDoNotWaitForTheNextRequest)
+{
+    // One persistent connection carrying memo hits at a fixed spacing.
+    // Past its first few dozen exchanges the client acknowledges a
+    // reply only with its next request. Then a single reply sent while
+    // the previous one is unacknowledged — here a miss finishing
+    // between two hits — is enough, with Nagle's algorithm on the
+    // daemon's socket, to hold every later reply until the next request
+    // releases it: each hit then takes one spacing instead of
+    // microseconds.
+    using namespace std::chrono;
+    constexpr auto kSpacing = milliseconds(10);
+    constexpr int kWarmupHits = 30; // past the client's quick-ACK phase
+    constexpr int kMeasuredHits = 40;
+    constexpr int kMaxSlots = 600;
+
+    service::ServerOptions opts;
+    opts.port = 0;
+    opts.threads = 2;
+    opts.defaultDeadlineMs = 60e3;
+    service::AwdServer server(opts);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    RawConn conn;
+    ASSERT_TRUE(conn.connectTo(server.port()));
+    int one = 1;
+    ASSERT_EQ(::setsockopt(conn.fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                           sizeof one),
+              0);
+    timeval rcvTimeout{20, 0}; // a lost reply fails instead of hanging
+    ::setsockopt(conn.fd, SOL_SOCKET, SO_RCVTIMEO, &rcvTimeout,
+                 sizeof rcvTimeout);
+
+    auto frameOf = [](service::EstimateRequest req, const std::string &id) {
+        req.id = id;
+        return service::encodeFrame(service::requestToJson(req));
+    };
+    const service::EstimateRequest hit =
+        estimateOf(testKernel("svc_latency_hit"));
+    std::vector<std::string> primed;
+    ASSERT_TRUE(conn.sendAll(frameOf(hit, "prime")));
+    ASSERT_TRUE(conn.readResponses(1, primed));
+
+    // The trigger must really simulate, for longer than one spacing:
+    // a result-cache entry from an earlier run would answer it at once.
+    const std::string triggerName =
+        "svc_latency_trigger_" + std::to_string(::getpid()) + "_" +
+        std::to_string(steady_clock::now().time_since_epoch().count());
+    const service::EstimateRequest trigger =
+        estimateOf(testKernel(triggerName, /*iterations=*/1024));
+
+    // Reply arrival times by request id ("h<slot>", "trigger").
+    std::vector<steady_clock::time_point> sentAt(kMaxSlots);
+    std::map<std::string, steady_clock::time_point> gotAt;
+    steady_clock::time_point triggerSentAt;
+    std::atomic<bool> triggerAnswered{false};
+    std::atomic<bool> readerOk{true};
+    std::thread reader([&] {
+        service::FrameDecoder dec;
+        char buf[16384];
+        std::string frame, err;
+        while (true) {
+            const service::FrameDecoder::Status st = dec.poll(frame, err);
+            if (st == service::FrameDecoder::Status::Error)
+                break;
+            if (st == service::FrameDecoder::Status::NeedMore) {
+                const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
+                if (n <= 0)
+                    break;
+                dec.feed(buf, static_cast<size_t>(n));
+                continue;
+            }
+            const auto now = steady_clock::now();
+            obs::JsonValue v;
+            service::EstimateResponse resp;
+            std::string perr;
+            if (!obs::tryParseJson(frame, v) ||
+                !service::parseResponse(v, resp, perr) ||
+                resp.status != "ok")
+                break;
+            if (resp.id == "end")
+                return;
+            gotAt[resp.id] = now;
+            if (resp.id == "trigger")
+                triggerAnswered.store(true);
+        }
+        readerOk.store(false);
+    });
+
+    // Hits on a fixed grid; the trigger takes slot kWarmupHits. Only
+    // hits sent after the trigger's reply arrived are measured, so a
+    // slow simulation on a loaded host cannot hide the stall.
+    std::vector<int> measured;
+    bool sent = true;
+    const auto start = steady_clock::now();
+    for (int slot = 0; sent && slot < kMaxSlots &&
+                       static_cast<int>(measured.size()) < kMeasuredHits;
+         ++slot) {
+        std::this_thread::sleep_until(start + slot * kSpacing);
+        if (slot == kWarmupHits) {
+            triggerSentAt = steady_clock::now();
+            sent = conn.sendAll(frameOf(trigger, "trigger"));
+            continue;
+        }
+        const bool afterTrigger = triggerAnswered.load();
+        sentAt[static_cast<size_t>(slot)] = steady_clock::now();
+        sent = conn.sendAll(frameOf(hit, "h" + std::to_string(slot)));
+        if (afterTrigger)
+            measured.push_back(slot);
+    }
+    service::EstimateRequest end;
+    end.type = "ping";
+    sent = sent && conn.sendAll(frameOf(end, "end"));
+    if (!sent)
+        ::shutdown(conn.fd, SHUT_RDWR); // unblock the reader
+    reader.join();
+    ASSERT_TRUE(sent);
+    ASSERT_TRUE(readerOk.load()) << "a reply was lost or not ok";
+    ASSERT_EQ(static_cast<int>(measured.size()), kMeasuredHits)
+        << "the trigger was never answered";
+
+    std::vector<double> latMs;
+    for (int slot : measured) {
+        const auto got = gotAt.find("h" + std::to_string(slot));
+        ASSERT_NE(got, gotAt.end()) << "no reply to hit " << slot;
+        latMs.push_back(duration<double, std::milli>(
+                            got->second - sentAt[static_cast<size_t>(slot)])
+                            .count());
+    }
+    std::nth_element(latMs.begin(), latMs.begin() + latMs.size() / 2,
+                     latMs.end());
+    const double medianMs = latMs[latMs.size() / 2];
+    const double spacingMs = duration<double, std::milli>(kSpacing).count();
+    EXPECT_LT(medianMs, spacingMs / 4)
+        << "memo hits wait for the next request on their connection "
+           "(trigger answered after "
+        << duration<double, std::milli>(gotAt["trigger"] - triggerSentAt)
+               .count()
+        << " ms)";
+
+    server.requestStop();
+    EXPECT_EQ(server.wait(), 0);
 }
 
 TEST(ServiceQueue, AdmissionLadderIsDeterministic)

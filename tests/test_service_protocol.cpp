@@ -8,10 +8,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "service/protocol.hpp"
+#include "workloads/deepbench.hpp"
+#include "workloads/validation.hpp"
 
 using namespace aw;
 using namespace aw::service;
@@ -38,6 +42,42 @@ sampleRequest()
     req.kernel.pointerChase = true;
     req.kernel.seed = 42;
     return req;
+}
+
+/** Every field of two kernel descriptors is identical. */
+void
+expectSameKernel(const KernelDescriptor &a, const KernelDescriptor &b)
+{
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.ctas, b.ctas) << a.name;
+    EXPECT_EQ(a.warpsPerCta, b.warpsPerCta) << a.name;
+    EXPECT_EQ(a.ctasPerSm, b.ctasPerSm) << a.name;
+    EXPECT_EQ(a.smLimit, b.smLimit) << a.name;
+    EXPECT_EQ(a.bodyInsts, b.bodyInsts) << a.name;
+    EXPECT_EQ(a.iterations, b.iterations) << a.name;
+    EXPECT_EQ(a.ilpDegree, b.ilpDegree) << a.name;
+    EXPECT_EQ(a.activeLanes, b.activeLanes) << a.name;
+    EXPECT_EQ(a.memFootprintKb, b.memFootprintKb) << a.name;
+    EXPECT_EQ(a.pointerChase, b.pointerChase) << a.name;
+    EXPECT_EQ(a.transactionsPerMemAccess, b.transactionsPerMemAccess)
+        << a.name;
+    EXPECT_EQ(a.seed, b.seed) << a.name;
+    ASSERT_EQ(a.mix.size(), b.mix.size()) << a.name;
+    for (size_t i = 0; i < a.mix.size(); ++i) {
+        EXPECT_EQ(a.mix[i].op, b.mix[i].op) << a.name;
+        EXPECT_EQ(a.mix[i].weight, b.mix[i].weight) << a.name;
+    }
+}
+
+/** Encode, parse and decode a request; false (with `error`) when the
+ *  parser refuses it. */
+bool
+roundTrip(const EstimateRequest &req, EstimateRequest &back,
+          std::string &error)
+{
+    obs::JsonValue v;
+    EXPECT_TRUE(obs::tryParseJson(requestToJson(req), v));
+    return parseRequest(v, back, error);
 }
 
 /** Drain every complete frame; EXPECT the decoder never errors. */
@@ -209,6 +249,74 @@ TEST(ServiceCodec, RequestRoundTrip)
         EXPECT_DOUBLE_EQ(back.kernel.mix[i].weight,
                          req.kernel.mix[i].weight);
     }
+
+    // Every descriptor the library ships, a one-class mix of every op
+    // class, and seeds either side of 2^53 travel intact: identical
+    // fields, identical bytes when re-encoded, identical content key.
+    // Barrier mixes are the exception the codec states: refused, with
+    // a structured error.
+    std::vector<KernelDescriptor> kernels;
+    for (const ValidationKernel &vk : validationSuite())
+        kernels.push_back(vk.kernel);
+    for (const DeepBenchWorkload &w : deepbenchSuite())
+        kernels.insert(kernels.end(), w.kernels.begin(), w.kernels.end());
+    for (size_t i = 0; i < kNumOpClasses; ++i) {
+        kernels.push_back(req.kernel);
+        kernels.back().mix = {{static_cast<OpClass>(i), 1.0}};
+    }
+    for (uint64_t seed : {uint64_t{1} << 53, (uint64_t{1} << 53) + 1,
+                          std::numeric_limits<uint64_t>::max()}) {
+        kernels.push_back(req.kernel);
+        kernels.back().seed = seed;
+    }
+    int refused = 0;
+    for (const KernelDescriptor &k : kernels) {
+        EstimateRequest kreq;
+        kreq.hasKernel = true;
+        kreq.kernel = k;
+        EstimateRequest kback;
+        std::string kerr;
+        if (k.mixFraction(OpClass::Bar) > 0) {
+            EXPECT_FALSE(roundTrip(kreq, kback, kerr)) << k.name;
+            EXPECT_NE(kerr.find("'bar'"), std::string::npos) << kerr;
+            ++refused;
+            continue;
+        }
+        ASSERT_TRUE(roundTrip(kreq, kback, kerr)) << k.name << ": " << kerr;
+        expectSameKernel(kback.kernel, k);
+        EXPECT_EQ(requestToJson(kback), requestToJson(kreq)) << k.name;
+        EXPECT_EQ(requestContentKey(kback), requestContentKey(kreq))
+            << k.name;
+    }
+    // walsh_K1, msort_K1, bprop_K1 and the bar-only mix.
+    EXPECT_EQ(refused, 4);
+}
+
+TEST(ServiceCodec, RequestBytesAndContentKeysArePinned)
+{
+    // Spelled by the codec before op tokens and seed strings changed;
+    // a request valid then must encode and key exactly as it did.
+    EstimateRequest req = sampleRequest();
+    EXPECT_EQ(requestToJson(req),
+              "{\"type\":\"estimate\",\"id\":\"req-1\",\"card\":\"volta\","
+              "\"variant\":\"sass\",\"freq_ghz\":1.132,\"detail\":2,"
+              "\"deadline_ms\":1500,\"kernel\":{\"name\":\"proto_k\","
+              "\"ctas\":64,\"warps_per_cta\":4,\"ctas_per_sm\":2,"
+              "\"sm_limit\":0,\"body_insts\":64,\"iterations\":16,\"ilp\":4,"
+              "\"active_lanes\":32,\"mem_footprint_kb\":512.25,"
+              "\"pointer_chase\":true,\"txn_per_access\":1,\"seed\":42,"
+              "\"mix\":[{\"op\":\"ffma\",\"w\":0.5},{\"op\":\"ldg\",\"w\":0.3},"
+              "{\"op\":\"iadd\",\"w\":0.2}]}}");
+    EXPECT_EQ(requestContentKey(req), "457373eef0809051");
+
+    // The largest numeric seed; one more is a decimal string.
+    req.kernel.seed = uint64_t{1} << 53;
+    EXPECT_EQ(requestContentKey(req), "4e1cdfbca28ff32c");
+    EXPECT_NE(requestToJson(req).find("\"seed\":9007199254740992,"),
+              std::string::npos);
+    req.kernel.seed += 1;
+    EXPECT_NE(requestToJson(req).find("\"seed\":\"9007199254740993\","),
+              std::string::npos);
 }
 
 TEST(ServiceCodec, ActivityBlobRoundTrip)
@@ -257,6 +365,19 @@ TEST(ServiceCodec, AdversarialRequestsRejectedWithStructuredErrors)
         "{\"type\":\"estimate\",\"deadline_ms\":\"soon\",\"kernel\":"
         "{\"mix\":[{\"op\":\"fadd\",\"w\":1}]}}",
     };
+    for (const char *seed : {"\"\"", "\"-1\"", "\"+1\"", "\" 7\"", "\"7 \"",
+                             "\"1e3\"", "\"0x10\"", "\"18446744073709551616\"",
+                             "-1", "1e17", "true", "[7]"}) {
+        const std::string payload =
+            std::string("{\"type\":\"estimate\",\"kernel\":{\"seed\":") +
+            seed + ",\"mix\":[{\"op\":\"fadd\",\"w\":1}]}}";
+        obs::JsonValue v;
+        ASSERT_TRUE(obs::tryParseJson(payload, v)) << payload;
+        EstimateRequest req;
+        std::string err;
+        EXPECT_FALSE(parseRequest(v, req, err)) << payload;
+        EXPECT_NE(err.find("seed"), std::string::npos) << payload;
+    }
     for (const char *payload : bad) {
         obs::JsonValue v;
         ASSERT_TRUE(obs::tryParseJson(payload, v)) << payload;
