@@ -264,8 +264,9 @@ service_leg() {
     # Duplicate-work eliminator under chaos: two daemons share one
     # cross-process memo directory with the micro-batch window on. The
     # same seeded fault traffic hits both — the second largely serves
-    # from entries the first published — and both must survive it and
-    # drain cleanly on SIGTERM, exactly like the plain-config daemon.
+    # from entries the first published — and both must survive it,
+    # drain cleanly on SIGTERM exactly like the plain-config daemon, and
+    # leave nothing in the memo directory but published entries.
     echo "== service: eliminator leg (batching + shared memo, 2 daemons)"
     local memodir="${dir}/awd.shared-memo"
     local port_a="${dir}/awd-a.port" port_b="${dir}/awd-b.port"
@@ -293,6 +294,15 @@ service_leg() {
     if [[ ${rc_a} -ne 0 || ${rc_b} -ne 0 ]]; then
         echo "error: eliminator-leg drains exited ${rc_a}/${rc_b}" \
              "(expected clean 0/0)" >&2
+        return 1
+    fi
+    # Every store either published <hash>.json or removed its own lock:
+    # any other name (a `.lock` or a `.tmp*` file) is a leaked store.
+    local stray
+    stray=$(ls -A "${memodir}" | grep -Ev '^[0-9a-f]{16}\.json$' || true)
+    if [[ -n "${stray}" ]]; then
+        echo "error: shared memo holds leftovers of a store:" \
+             "${stray//$'\n'/ }" >&2
         return 1
     fi
     rm -rf "${memodir}"

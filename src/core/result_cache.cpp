@@ -1,7 +1,6 @@
 #include "core/result_cache.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fcntl.h>
@@ -393,88 +392,63 @@ fetchEntryIn(const std::string &dir, const std::string &key,
     return true;
 }
 
+/** A lock this old belongs to a writer that crashed mid-store. */
+constexpr double kStaleLockSec = 10.0;
+
 /**
- * Per-entry multi-process write lock: a `.lock` file taken with
+ * Per-entry multi-process write lock: `<hash>.json.lock` taken with
  * O_CREAT|O_EXCL, the only primitive POSIX guarantees to be atomic on
- * every filesystem. Two awd daemon workers (separate *processes*, so
- * the in-process atomic temp counter cannot disambiguate them) racing
- * the same key serialize here instead of interleaving temp bytes or
+ * every filesystem. The lock file is also the entry's temp file: its
+ * holder writes the payload into the returned descriptor and renames
+ * the lock onto the entry, so one rename publishes the entry and
+ * releases the lock. Two awd daemon workers (separate processes)
+ * racing the same key serialize here instead of interleaving bytes or
  * renames. A lock older than kStaleLockSec is stolen — its owner
- * crashed mid-store — so a killed daemon can never wedge the cache.
+ * crashed mid-store and left a partial payload that no reader opens —
+ * so a killed daemon can never wedge the cache. (Two writers stealing
+ * one stale lock at once can both proceed; if one renames the other's
+ * unfinished file into place, the reader's vcrc check convicts it.)
  * Acquisition failure is not an error: entries are content-addressed,
  * so whoever holds the lock is writing the identical bytes and the
- * loser simply skips its redundant store.
+ * loser simply skips its redundant store. Returns the descriptor, or
+ * -1 to skip the store.
  */
-class EntryWriteLock
+int
+acquireEntryLock(const std::string &lockPath)
 {
-  public:
-    static constexpr double kStaleLockSec = 10.0;
-
-    bool tryAcquire(const std::string &lockPath)
-    {
-        path_ = lockPath;
-        for (int attempt = 0; attempt < 50; ++attempt) {
-            fd_ = ::open(lockPath.c_str(), O_CREAT | O_EXCL | O_WRONLY,
-                         0644);
-            if (fd_ >= 0)
-                return true;
-            if (errno != EEXIST)
-                return false;
-            if (attempt == 0)
-                obs::metrics().counter("cache.lock_contended").add(1);
-            // Steal a stale lock left by a crashed writer.
-            std::error_code ec;
-            auto mtime = fs::last_write_time(lockPath, ec);
-            if (!ec) {
-                auto age = std::chrono::duration<double>(
-                               fs::file_time_type::clock::now() - mtime)
-                               .count();
-                if (age > kStaleLockSec) {
-                    warn("result cache: stealing stale lock %s "
-                         "(%.0fs old)",
-                         lockPath.c_str(), age);
-                    fs::remove(lockPath, ec);
-                    continue;
-                }
+    for (int attempt = 0; attempt < 50; ++attempt) {
+        int fd = ::open(lockPath.c_str(), O_CREAT | O_EXCL | O_WRONLY,
+                        0666);
+        if (fd >= 0)
+            return fd;
+        if (errno != EEXIST)
+            return -1;
+        if (attempt == 0)
+            obs::metrics().counter("cache.lock_contended").add(1);
+        // Steal a stale lock left by a crashed writer.
+        std::error_code ec;
+        auto mtime = fs::last_write_time(lockPath, ec);
+        if (!ec) {
+            auto age = std::chrono::duration<double>(
+                           fs::file_time_type::clock::now() - mtime)
+                           .count();
+            if (age > kStaleLockSec) {
+                warn("result cache: stealing stale lock %s (%.0fs old)",
+                     lockPath.c_str(), age);
+                fs::remove(lockPath, ec);
+                continue;
             }
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
         }
-        obs::metrics().counter("cache.lock_skipped").add(1);
-        return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-
-    ~EntryWriteLock()
-    {
-        if (fd_ >= 0) {
-            ::close(fd_);
-            std::error_code ec;
-            fs::remove(path_, ec);
-        }
-    }
-
-  private:
-    int fd_ = -1;
-    std::string path_;
-};
+    obs::metrics().counter("cache.lock_skipped").add(1);
+    return -1;
+}
 
 void
 storeEntryIn(const std::string &dir, const std::string &key,
              const char *kind, const std::string &valueJson)
 {
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    std::string path = entryPathIn(dir, key);
-    EntryWriteLock lock;
-    if (!lock.tryAcquire(path + ".lock")) {
-        AW_DEBUGF("core", "result cache: store of %s skipped (lock held "
-                  "by a concurrent writer)", path.c_str());
-        return;
-    }
-    // The pid makes the temp name unique across *processes*; the
-    // counter keeps it unique across threads within one process.
-    static std::atomic<uint64_t> tmpId{0};
-    std::string tmp = path + ".tmp" + std::to_string(::getpid()) + "." +
-                      std::to_string(tmpId.fetch_add(1) + 1);
     // `value` is the last member on purpose: a truncated file loses the
     // payload first, and the vcrc checksum (FNV-1a of the raw value
     // text) convicts any remains that still happen to parse.
@@ -488,22 +462,38 @@ storeEntryIn(const std::string &dir, const std::string &key,
            << "}\n";
         payload = os.str();
     }
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out << payload;
-        if (!out.good()) {
-            warn("result cache: cannot write %s", tmp.c_str());
-            fs::remove(tmp, ec);
-            return;
-        }
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    std::string path = entryPathIn(dir, key);
+    std::string lockPath = path + ".lock";
+    // Nothing between here and close() throws, so the descriptor
+    // cannot leak.
+    int fd = acquireEntryLock(lockPath);
+    if (fd < 0) {
+        AW_DEBUGF("core", "result cache: store of %s skipped (lock held "
+                  "by a concurrent writer)", path.c_str());
+        return;
+    }
+    size_t done = 0;
+    while (done < payload.size()) {
+        ssize_t n = ::write(fd, payload.data() + done, payload.size() - done);
+        if (n > 0)
+            done += static_cast<size_t>(n);
+        else if (n == 0 || errno != EINTR)
+            break;
+    }
+    if (::close(fd) != 0 || done != payload.size()) {
+        warn("result cache: cannot write %s", lockPath.c_str());
+        fs::remove(lockPath, ec);
+        return;
     }
     // Atomic publish: a concurrent reader sees the old entry or the new
     // one, never a torn file.
-    fs::rename(tmp, path, ec);
+    fs::rename(lockPath, path, ec);
     if (ec) {
         warn("result cache: cannot publish %s: %s", path.c_str(),
              ec.message().c_str());
-        fs::remove(tmp, ec);
+        fs::remove(lockPath, ec);
         return;
     }
     obs::metrics().counter("cache.writes").add(1);

@@ -16,17 +16,21 @@
  * Layout: one JSON file per entry, `<fnv1a64-hex16>.json`, inside
  * $AW_CACHE_DIR (default `results/cache/`). Files carry the full
  * human-readable key string, so hash collisions are detected (not just
- * assumed away) and entries are self-describing. Writes go through a
- * pid-unique temp file + rename under a per-entry `.lock` file
- * (O_CREAT|O_EXCL, stolen when stale), so two `awd` workers — or two
- * whole daemon processes sharing one cache directory — can never
- * interleave bytes of the same entry; a writer that cannot take the
- * lock skips the store (entries are content-addressed, so the winner
- * wrote the same bytes). Readers never observe a torn entry; on top of
- * the schema check, each entry stores an FNV-1a checksum of its value
- * payload (`vcrc`) and a truncated or bit-flipped payload — e.g. a
- * torn write that survived a crash mid-rename on a non-atomic
- * filesystem — is rejected even when the remains still parse as JSON.
+ * assumed away) and entries are self-describing. A store creates one
+ * file: it takes the per-entry `<hash>.json.lock` with O_CREAT|O_EXCL,
+ * writes the entry into that lock file and renames it onto
+ * `<hash>.json`, so the one rename both publishes the entry and
+ * releases the lock. Two `awd` workers — or two whole daemon processes
+ * sharing one cache directory — can never interleave bytes of the same
+ * entry; a writer that cannot take the lock skips the store (entries
+ * are content-addressed, so the winner wrote the same bytes). A writer
+ * that crashes mid-store leaves only its `.lock`, holding a partial
+ * payload that no reader opens; the next store steals it once it is
+ * 10 s old. Readers never observe a torn entry; on top of the schema
+ * check, each entry stores an FNV-1a checksum of its value payload
+ * (`vcrc`) and a truncated or bit-flipped payload — e.g. a torn write
+ * that survived a crash mid-rename on a non-atomic filesystem — is
+ * rejected even when the remains still parse as JSON.
  * A corrupt file is warned about, removed, and treated as a miss.
  * `AW_CACHE=off` disables the cache entirely.
  *
@@ -119,13 +123,13 @@ class ResultCache
 
 /**
  * A standalone file-per-entry store sharing the result cache's on-disk
- * machinery — `<fnv1a64-hex16>.json` naming, per-entry `.lock` files,
- * pid-unique temp + atomic rename publish, schema / key-collision /
- * vcrc torn-write checks — but rooted at an arbitrary directory and
- * carrying opaque value text instead of typed payloads. This is the
- * cross-process tier of the awd estimator memo: K daemons pointed at
- * one directory converge to a single cache, and a reader can never
- * observe a torn entry (it is detected, removed, and recomputed).
+ * machinery — `<fnv1a64-hex16>.json` naming, a per-entry `.lock` file
+ * that is also the temp file renamed into place on publish, schema /
+ * key-collision / vcrc torn-write checks — but rooted at an arbitrary
+ * directory and carrying opaque value text instead of typed payloads.
+ * This is the cross-process tier of the awd estimator memo: K daemons
+ * pointed at one directory converge to a single cache, and a reader can
+ * never observe a torn entry (it is detected, removed, and recomputed).
  * Fault injection (cache_corrupt) applies to stores here too.
  */
 class FileEntryStore
@@ -167,9 +171,10 @@ class FileEntryStore
      * `ttlSec` (0 disables the age criterion), then — oldest first —
      * entries past the `maxTotalBytes` byte bound (0 disables it).
      * In-progress writes are untouched (only `*.json` entries are
-     * considered; `.lock` / `.tmp*` files are skipped), every removal
-     * is best-effort (a concurrent reader simply misses), and nothing
-     * here ever throws — a disappearing file mid-sweep is fine.
+     * considered; `.lock` files, which hold a store's payload until its
+     * rename, are skipped), every removal is best-effort (a concurrent
+     * reader simply misses), and nothing here ever throws — a
+     * disappearing file mid-sweep is fine.
      */
     SweepStats sweep(std::uintmax_t maxTotalBytes, double ttlSec);
 

@@ -231,12 +231,16 @@ calibrateStaticPower(NvmlEmu &nvml, double constPowerW,
             double idleSmsW =
                 exp.totalPowerW - constPowerW - perActive * n; // Eq. 7
             exp.perIdleSmW = idleSmsW / (numSms - n);
-            if (exp.perIdleSmW > 0)
+            // Eq. 8 is a geomean, defined only over positive terms, so
+            // an Eq. 7 estimate <= 0 is excluded from it and counted.
+            if (exp.perIdleSmW > 0) {
                 idleEstimates.push_back(exp.perIdleSmW);
-            else
+            } else {
                 warn("idle-SM experiment at %d SMs gave non-positive "
                      "estimate %.4f W; dropped from the geomean",
                      n, exp.perIdleSmW);
+                obs::metrics().counter("calibration.idle_sm_dropped").add(1);
+            }
             result.idleExperiments.push_back(exp);
         }
     }

@@ -14,7 +14,9 @@
  * Idle-SM power follows Eqs. 6-8: occupancy probes estimate per-active-
  * SM power with all SMs busy, then the residual power of partially-
  * occupied runs is attributed equally to the idle SMs; the geomean
- * across probes is the final per-idle-SM estimate.
+ * across the probes with a positive estimate is the final per-idle-SM
+ * estimate (non-positive ones are dropped, warned about and counted in
+ * `calibration.idle_sm_dropped`).
  */
 #pragma once
 

@@ -7,8 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/stats.hpp"
 #include "core/calibration.hpp"
 #include "core/static_power.hpp"
+#include "obs/metrics.hpp"
 #include "ubench/microbench.hpp"
 
 using namespace aw;
@@ -87,6 +89,30 @@ TEST(StaticPower, IdleSmSmallButPositive)
     EXPECT_GT(result.idleSmW, 0.0);
     EXPECT_LT(result.idleSmW, 1.0); // a gated SM leaks very little
     EXPECT_FALSE(result.idleExperiments.empty());
+}
+
+TEST(StaticPower, IdleSmGeomeanExcludesNonPositiveEstimates)
+{
+    // Eq. 8 is a geomean, so an Eq. 7 estimate <= 0 cannot enter it: it
+    // is dropped and counted. On Volta exactly one experiment, at 64
+    // active SMs, is dropped.
+    auto &cal = sharedVoltaCalibrator();
+    const auto &result = cal.staticPower();
+    std::vector<double> positive;
+    std::vector<int> droppedAt;
+    for (const auto &exp : result.idleExperiments) {
+        if (exp.perIdleSmW > 0)
+            positive.push_back(exp.perIdleSmW);
+        else
+            droppedAt.push_back(exp.activeSms);
+    }
+    ASSERT_FALSE(positive.empty());
+    EXPECT_EQ(result.idleSmW, geomean(positive));
+    EXPECT_EQ(droppedAt, std::vector<int>{64});
+    // This process runs one static calibration, the shared one above.
+    EXPECT_EQ(
+        obs::metrics().counter("calibration.idle_sm_dropped").value(),
+        1.0);
 }
 
 TEST(StaticPower, MeasureStaticSeparatesDynamic)

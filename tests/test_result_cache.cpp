@@ -7,14 +7,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "core/result_cache.hpp"
 #include "hw/silicon_model.hpp"
+#include "obs/metrics.hpp"
 #include "trace/workload.hpp"
 
 using namespace aw;
@@ -82,6 +87,26 @@ sampleActivity()
         a.samples.push_back(sample);
     }
     return a;
+}
+
+/** Sorted names of every file under `dir`, at any depth. */
+std::vector<std::string>
+fileNames(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &e : fs::recursive_directory_iterator(dir))
+        names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+std::string
+readBytes(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
 }
 
 } // namespace
@@ -163,6 +188,59 @@ TEST_F(ResultCacheTest, ActivityRoundTripsBitExact)
         EXPECT_EQ(got.intAddInsts, want.intAddInsts);
         EXPECT_EQ(got.intMulInsts, want.intMulInsts);
     }
+}
+
+TEST_F(ResultCacheTest, PowerEntryBytesAreGolden)
+{
+    // Bytes written by earlier builds: a change to the entry format,
+    // the file name or the key hash would turn every existing cache
+    // into misses.
+    ResultCache::instance().storePower("golden-key", 0.1 + 0.2);
+    ASSERT_EQ(fileNames(dir_),
+              std::vector<std::string>{"d58077b959132f52.json"});
+    EXPECT_EQ(readBytes(fs::path(dir_) / "d58077b959132f52.json"),
+              "{\"schema\":2,\"kind\":\"power\",\"key\":\"golden-key\","
+              "\"vcrc\":\"6d3cb2ceaf9352cc\","
+              "\"value\":0.30000000000000004}\n");
+}
+
+TEST_F(ResultCacheTest, ActivityEntryBytesAreGolden)
+{
+    ResultCache::instance().storeActivity("golden-activity-key",
+                                          sampleActivity());
+    ASSERT_EQ(fileNames(dir_),
+              std::vector<std::string>{"068d3ab9f3413224.json"});
+    EXPECT_EQ(
+        readBytes(fs::path(dir_) / "068d3ab9f3413224.json"),
+        "{\"schema\":2,\"kind\":\"activity\",\"key\":\"golden-activity-key\""
+        ",\"vcrc\":\"c0692b530ff41f10\""
+        ",\"value\":{\"kernelName\":\"roundtrip\",\"totalCycles\":123456.75"
+        ",\"elapsedSec\":8.7654321e-05,\"samples\":[{\"cycles\":500"
+        ",\"freqGhz\":1.417,\"voltage\":1.0012345678901233"
+        ",\"accesses\":[0,0.1,0.2,0.30000000000000004,0.4,0.5"
+        ",0.60000000000000009,0.70000000000000007,0.8,0.9,1,1.1"
+        ",1.2000000000000002,1.3,1.4000000000000001,1.5,1.6"
+        ",1.7000000000000002,1.8,1.9000000000000001,2,2.1]"
+        ",\"avgActiveSms\":79.25,\"avgActiveLanesPerWarp\":31.875"
+        ",\"unitInsts\":[17,8.5,5.666666666666667,4.25,3.4"
+        ",2.8333333333333335,2.4285714285714284,2.125]"
+        ",\"intAddInsts\":333333333.33333331,\"intMulInsts\":7}"
+        ",{\"cycles\":501,\"freqGhz\":1.417"
+        ",\"voltage\":1.0012345678901233,\"accesses\":[1,1.1,1.2,1.3"
+        ",1.4,1.5,1.6,1.7000000000000002,1.8,1.9,2,2.1,2.2,2.3"
+        ",2.4000000000000004,2.5,2.6,2.7,2.8,2.9000000000000004,3"
+        ",3.1],\"avgActiveSms\":79.25,\"avgActiveLanesPerWarp\":31.875"
+        ",\"unitInsts\":[17,8.5,5.666666666666667,4.25,3.4"
+        ",2.8333333333333335,2.4285714285714284,2.125]"
+        ",\"intAddInsts\":333333333.33333331,\"intMulInsts\":7}"
+        ",{\"cycles\":502,\"freqGhz\":1.417"
+        ",\"voltage\":1.0012345678901233,\"accesses\":[2,2.1,2.2,2.3"
+        ",2.4,2.5,2.6,2.7,2.8,2.9,3,3.1,3.2,3.3,3.4000000000000004"
+        ",3.5,3.6,3.7,3.8,3.9000000000000004,4,4.1]"
+        ",\"avgActiveSms\":79.25,\"avgActiveLanesPerWarp\":31.875"
+        ",\"unitInsts\":[17,8.5,5.666666666666667,4.25,3.4"
+        ",2.8333333333333335,2.4285714285714284,2.125]"
+        ",\"intAddInsts\":333333333.33333331,\"intMulInsts\":7}]}}\n");
 }
 
 TEST_F(ResultCacheTest, CorruptEntryIsRemovedAndTreatedAsMiss)
@@ -352,4 +430,51 @@ TEST_F(ResultCacheTest, ConcurrentSameKeyWritersNeverCorruptAnEntry)
         EXPECT_EQ(name.find(".lock"), std::string::npos) << name;
         EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
     }
+}
+
+TEST_F(ResultCacheTest, StaleLockIsStolen)
+{
+    // A writer that crashed mid-store leaves its lock behind holding a
+    // partial payload. Once the lock is older than the stale bound
+    // (10 s) the next store steals it and publishes.
+    auto &cache = ResultCache::instance();
+    const std::string key = "stale-lock-key";
+    const std::string lock = cache.pathFor(key) + ".lock";
+    fs::create_directories(dir_);
+    {
+        std::ofstream f(lock, std::ios::binary);
+        f << "{\"schema\":2,\"kind\":\"power\",\"key\":\"stale-lo";
+    }
+    fs::last_write_time(lock, fs::file_time_type::clock::now() -
+                                  std::chrono::hours(1));
+    const double stored = 0.1 + 0.2;
+    cache.storePower(key, stored);
+    double out = 0;
+    ASSERT_TRUE(cache.fetchPower(key, out));
+    EXPECT_EQ(out, stored); // bit-exact
+    for (const std::string &name : fileNames(dir_))
+        EXPECT_EQ(name.find(".lock"), std::string::npos) << name;
+}
+
+TEST_F(ResultCacheTest, HeldLockIsLeftAlone)
+{
+    // A fresh lock belongs to a live writer: the store waits out its
+    // retries, then skips without touching the holder's file.
+    auto &cache = ResultCache::instance();
+    const std::string key = "held-lock-key";
+    const std::string lock = cache.pathFor(key) + ".lock";
+    const std::string holderBytes = "{\"schema\":2,\"kind\":\"pow";
+    fs::create_directories(dir_);
+    {
+        std::ofstream f(lock, std::ios::binary);
+        f << holderBytes;
+    }
+    auto &skipped = obs::metrics().counter("cache.lock_skipped");
+    const double before = skipped.value();
+    cache.storePower(key, 1.5);
+    EXPECT_EQ(skipped.value(), before + 1);
+    EXPECT_FALSE(fs::exists(cache.pathFor(key)));
+    double out = 0;
+    EXPECT_FALSE(cache.fetchPower(key, out));
+    EXPECT_EQ(readBytes(lock), holderBytes);
 }
