@@ -13,9 +13,8 @@
 
 namespace aw {
 
-AccelWattchCalibrator::AccelWattchCalibrator(const SiliconOracle &oracle)
-    : oracle_(oracle), nvml_(oracle), nsight_(oracle),
-      modelSim_(oracle.config())
+AccelWattchCalibrator::AccelWattchCalibrator(const SiliconOracle &card)
+    : card_(card), nvml_(card_), nsight_(card_), modelSim_(card_.config())
 {}
 
 const ConstantPowerResult &
@@ -43,7 +42,7 @@ AccelWattchModel
 AccelWattchCalibrator::partialModel()
 {
     AccelWattchModel m;
-    m.gpu = oracle_.config();
+    m.gpu = card_.config();
     m.refVoltage = m.gpu.referenceVoltage();
     m.constPowerW = constantPower().constPowerW;
     m.divergence = staticPower().divergence;
@@ -57,7 +56,7 @@ const std::vector<Microbenchmark> &
 AccelWattchCalibrator::tuningSuite()
 {
     if (suite_.empty())
-        suite_ = dynamicPowerSuite(oracle_.config());
+        suite_ = dynamicPowerSuite(card_.config());
     return suite_;
 }
 
@@ -69,7 +68,7 @@ AccelWattchCalibrator::tuningPowerW()
         const auto &suite = tuningSuite();
         suitePowerW_ = parallelMap<double>(suite.size(), [&](size_t i) {
             Result<double> r =
-                tryMeasurePowerCached(oracle_, suite[i].kernel);
+                tryMeasurePowerCached(card_, suite[i].kernel);
             if (r)
                 return *r;
             // Skip-with-warning: the tuner runs on the reduced set
@@ -120,7 +119,7 @@ AccelWattchCalibrator::variant(Variant v)
     if (keep.size() < suite.size())
         warn("tuning %s for %s on %zu of %zu microbenchmarks (%zu "
              "skipped by measurement failures)",
-             variantName(v).c_str(), oracle_.config().name.c_str(),
+             variantName(v).c_str(), card_.config().name.c_str(),
              keep.size(), suite.size(), suite.size() - keep.size());
     // The QP needs healthy over-determination to pin ~20 component
     // energies; below this the tuned model would be junk.
@@ -187,7 +186,7 @@ AccelWattchCalibrator::variant(Variant v)
 
     inform("tuned AccelWattch %s for %s: training MAPE %.2f%% (Fermi "
            "start) vs %.2f%% (all-ones start)",
-           variantName(v).c_str(), oracle_.config().name.c_str(),
+           variantName(v).c_str(), card_.config().name.c_str(),
            cal.tuningFermi.trainingMapePct, cal.tuningOnes.trainingMapePct);
 
     slot = std::move(cal);

@@ -44,10 +44,20 @@ struct CalibratedVariant
 class AccelWattchCalibrator
 {
   public:
-    explicit AccelWattchCalibrator(const SiliconOracle &oracle);
+    /**
+     * Calibrate a copy of `card`. Every measurement and profile of the
+     * campaign runs on the copy, so its execution memo
+     * (SiliconOracle::summary) lives exactly as long as this calibrator:
+     * NVML and Nsight share each execution within the campaign, and a
+     * second calibrator of the same card starts cold.
+     */
+    explicit AccelWattchCalibrator(const SiliconOracle &card);
+    AccelWattchCalibrator(const AccelWattchCalibrator &) = delete;
+    AccelWattchCalibrator &operator=(const AccelWattchCalibrator &) = delete;
 
-    const SiliconOracle &oracle() const { return oracle_; }
-    const GpuConfig &gpu() const { return oracle_.config(); }
+    /** The calibrator's own copy of the card. */
+    const SiliconOracle &oracle() const { return card_; }
+    const GpuConfig &gpu() const { return card_.config(); }
 
     /** Section 4.2 result (cached after the first call). */
     const ConstantPowerResult &constantPower();
@@ -86,7 +96,7 @@ class AccelWattchCalibrator
     const GpuSimulator &simulator() const { return modelSim_; }
 
   private:
-    const SiliconOracle &oracle_;
+    SiliconOracle card_; ///< declared first: nvml_ and nsight_ bind to it
     NvmlEmu nvml_;
     NsightEmu nsight_;
     GpuSimulator modelSim_;

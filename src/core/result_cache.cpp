@@ -6,6 +6,7 @@
 #include <fcntl.h>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -193,24 +194,6 @@ describeGpuConfig(const GpuConfig &g)
 }
 
 std::string
-describeKernel(const KernelDescriptor &k)
-{
-    std::ostringstream os;
-    os << "kernel{" << k.name << ";ctas=" << k.ctas << ";wpc="
-       << k.warpsPerCta << ";cps=" << k.ctasPerSm << ";smlim="
-       << k.smLimit << ";mix=[";
-    for (size_t i = 0; i < k.mix.size(); ++i)
-        os << (i ? "," : "") << static_cast<int>(k.mix[i].op) << ':'
-           << num(k.mix[i].weight);
-    os << "];body=" << k.bodyInsts << ";iters=" << k.iterations
-       << ";ilp=" << k.ilpDegree << ";lanes=" << k.activeLanes
-       << ";foot=" << num(k.memFootprintKb) << ";chase="
-       << (k.pointerChase ? 1 : 0) << ";txn="
-       << k.transactionsPerMemAccess << ";seed=" << k.seed << "}";
-    return os.str();
-}
-
-std::string
 describeSimOptions(const SimOptions &o)
 {
     std::ostringstream os;
@@ -225,15 +208,6 @@ describeSimOptions(const SimOptions &o)
     if (int detail = effectiveSimDetail(o); detail > 1)
         os << ";detail=" << detail;
     os << "}";
-    return os.str();
-}
-
-std::string
-describeConditions(const MeasurementConditions &c)
-{
-    std::ostringstream os;
-    os << "cond{freq=" << num(c.freqGhz) << ";temp=" << num(c.tempC)
-       << "}";
     return os.str();
 }
 
@@ -396,6 +370,20 @@ fetchEntryIn(const std::string &dir, const std::string &key,
 constexpr double kStaleLockSec = 10.0;
 
 /**
+ * The mutex that serializes this process's stores. Threads of one
+ * process would otherwise create, write and rename entries in one
+ * directory at once and contend for its lock inside the kernel, which
+ * costs more CPU than the stores themselves; a waiter on this mutex
+ * sleeps instead. Leaked on purpose, like ResultCache::instance().
+ */
+std::mutex &
+storeMutex()
+{
+    static std::mutex *mu = new std::mutex;
+    return *mu;
+}
+
+/**
  * Per-entry multi-process write lock: `<hash>.json.lock` taken with
  * O_CREAT|O_EXCL, the only primitive POSIX guarantees to be atomic on
  * every filesystem. The lock file is also the entry's temp file: its
@@ -410,18 +398,25 @@ constexpr double kStaleLockSec = 10.0;
  * unfinished file into place, the reader's vcrc check convicts it.)
  * Acquisition failure is not an error: entries are content-addressed,
  * so whoever holds the lock is writing the identical bytes and the
- * loser simply skips its redundant store. Returns the descriptor, or
- * -1 to skip the store.
+ * loser simply skips its redundant store. Returns the descriptor with
+ * `serial` (on storeMutex()) locked, or -1 with it unlocked to skip the
+ * store. `serial` is never held across the backoff sleep, so a store
+ * waiting out another process's lock does not stall this process's
+ * other stores.
  */
 int
-acquireEntryLock(const std::string &lockPath)
+acquireEntryLock(const std::string &lockPath,
+                 std::unique_lock<std::mutex> &serial)
 {
     for (int attempt = 0; attempt < 50; ++attempt) {
+        serial.lock();
         int fd = ::open(lockPath.c_str(), O_CREAT | O_EXCL | O_WRONLY,
                         0666);
         if (fd >= 0)
             return fd;
-        if (errno != EEXIST)
+        const int err = errno;
+        serial.unlock();
+        if (err != EEXIST)
             return -1;
         if (attempt == 0)
             obs::metrics().counter("cache.lock_contended").add(1);
@@ -466,9 +461,11 @@ storeEntryIn(const std::string &dir, const std::string &key,
     fs::create_directories(dir, ec);
     std::string path = entryPathIn(dir, key);
     std::string lockPath = path + ".lock";
-    // Nothing between here and close() throws, so the descriptor
-    // cannot leak.
-    int fd = acquireEntryLock(lockPath);
+    // Create, write and rename under storeMutex(); `serial` releases it
+    // on every early return. Nothing between here and close() throws,
+    // so the descriptor cannot leak.
+    std::unique_lock<std::mutex> serial(storeMutex(), std::defer_lock);
+    int fd = acquireEntryLock(lockPath, serial);
     if (fd < 0) {
         AW_DEBUGF("core", "result cache: store of %s skipped (lock held "
                   "by a concurrent writer)", path.c_str());
@@ -496,6 +493,7 @@ storeEntryIn(const std::string &dir, const std::string &key,
         fs::remove(lockPath, ec);
         return;
     }
+    serial.unlock();
     obs::metrics().counter("cache.writes").add(1);
 
     // Fault injection: simulate a torn write (crash on a filesystem

@@ -83,11 +83,11 @@ std::string activityToJson(const KernelActivity &a);
 bool activityFromJson(const obs::JsonValue &v, KernelActivity &out);
 
 /** Canonical one-line key fragments; every field that can change a
- *  result appears here, so the hash covers the full input content. */
+ *  result appears here, so the hash covers the full input content.
+ *  describeKernel and describeConditions live with the oracle
+ *  (hw/silicon_model.hpp), whose execution memo keys on them too. */
 std::string describeGpuConfig(const GpuConfig &g);
-std::string describeKernel(const KernelDescriptor &k);
 std::string describeSimOptions(const SimOptions &o);
-std::string describeConditions(const MeasurementConditions &c);
 
 /** Process-wide handle to the on-disk cache. */
 class ResultCache

@@ -30,7 +30,7 @@ calibrateTemperatureFactor(const SiliconOracle &card,
         cond.tempC = t;
         TemperaturePoint pt;
         pt.tempC = t;
-        pt.totalPowerW = card.execute(probe, cond).avgPowerW;
+        pt.totalPowerW = card.summary(probe, cond).avgPowerW;
         pt.staticResidualW = pt.totalPowerW - constPlusDynW;
         if (pt.staticResidualW <= 0)
             fatal("temperature calibration: non-positive leakage "

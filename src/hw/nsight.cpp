@@ -15,14 +15,16 @@ NsightEmu::collectImpl(const KernelDescriptor &desc,
 {
     AW_PROF_SCOPE("hw/nsight_profile");
     obs::metrics().counter("hw.nsight.profiles").add(1);
-    OracleRun run = oracle_.execute(desc, cond);
+    // The whole-kernel view, shared with an NVML measurement of the
+    // same kernel under the same conditions.
+    const OracleSummary run = oracle_.summary(desc, cond);
 
     KernelActivity out;
-    out.kernelName = run.activity.kernelName;
-    out.totalCycles = run.activity.totalCycles;
-    out.elapsedSec = run.activity.elapsedSec;
+    out.kernelName = desc.name;
+    out.totalCycles = run.totalCycles;
+    out.elapsedSec = run.elapsedSec;
 
-    ActivitySample agg = run.activity.aggregate();
+    ActivitySample agg = run.aggregate;
     for (size_t i = 0; i < kNumPowerComponents; ++i) {
         auto c = static_cast<PowerComponent>(i);
         // Components without a counter read as zero; DRAM under-reports

@@ -24,13 +24,13 @@ NvmlEmu::tryMeasureAveragePowerW(const KernelDescriptor &desc,
     cond.freqGhz = lockedFreqGhz_;
 
     // One warm execution to learn the kernel's duration and power.
-    OracleRun run = oracle_.execute(desc, cond);
+    const OracleSummary run = oracle_.summary(desc, cond);
 
     // NVML's 50-100 Hz sampling cannot resolve very short kernels; the
     // harness launches kernels in a loop, but a single launch still must
     // not be vanishingly short or the readings are perturbed by
     // inter-launch overheads (Section 6.1 excludes < 2 us kernels).
-    double launchSec = run.activity.elapsedSec;
+    double launchSec = run.elapsedSec;
     if (launchSec < 2e-6) {
         reg.counter("hw.nvml.rejected_short").add(1);
         return MeasureError{
@@ -41,7 +41,7 @@ NvmlEmu::tryMeasureAveragePowerW(const KernelDescriptor &desc,
     }
 
     lastReadings_.clear();
-    const ActivitySample aggregate = run.activity.aggregate();
+    const ActivitySample &aggregate = run.aggregate;
     const double dynFactor = oracle_.dataToggleFactor(desc.name);
     const bool chaos = faults_ && faults_->active();
     std::vector<double> repMeans;

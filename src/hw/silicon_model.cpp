@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <sstream>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -69,6 +71,34 @@ scaledEnergies(double nodeFactor, uint64_t seed, double spreadPct)
 }
 
 } // namespace
+
+std::string
+describeKernel(const KernelDescriptor &k)
+{
+    auto num = [](double v) { return obs::jsonNumber(v); };
+    std::ostringstream os;
+    os << "kernel{" << k.name << ";ctas=" << k.ctas << ";wpc="
+       << k.warpsPerCta << ";cps=" << k.ctasPerSm << ";smlim="
+       << k.smLimit << ";mix=[";
+    for (size_t i = 0; i < k.mix.size(); ++i)
+        os << (i ? "," : "") << static_cast<int>(k.mix[i].op) << ':'
+           << num(k.mix[i].weight);
+    os << "];body=" << k.bodyInsts << ";iters=" << k.iterations
+       << ";ilp=" << k.ilpDegree << ";lanes=" << k.activeLanes
+       << ";foot=" << num(k.memFootprintKb) << ";chase="
+       << (k.pointerChase ? 1 : 0) << ";txn="
+       << k.transactionsPerMemAccess << ";seed=" << k.seed << "}";
+    return os.str();
+}
+
+std::string
+describeConditions(const MeasurementConditions &c)
+{
+    std::ostringstream os;
+    os << "cond{freq=" << obs::jsonNumber(c.freqGhz)
+       << ";temp=" << obs::jsonNumber(c.tempC) << "}";
+    return os.str();
+}
 
 SiliconParams
 voltaSiliconTruth()
@@ -255,11 +285,11 @@ SiliconOracle::executeConcurrent(const std::vector<KernelDescriptor> &kernels,
     std::vector<KernelCost> costs;
     costs.reserve(kernels.size());
     for (const auto &k : kernels) {
-        OracleRun run = execute(k, cond);
+        const OracleSummary run = summary(k, cond);
         KernelCost c;
-        c.durationSec = run.activity.elapsedSec;
+        c.durationSec = run.elapsedSec;
         c.dynEnergyJ = run.dynamicW * c.durationSec; // includes toggle
-        ActivitySample agg = run.activity.aggregate();
+        const ActivitySample &agg = run.aggregate;
         c.sms = std::max(1, static_cast<int>(agg.avgActiveSms));
         c.smStaticW = activeSmStaticW(agg) / std::max(1.0,
                                                       agg.avgActiveSms) *
@@ -409,6 +439,38 @@ SiliconOracle::execute(const KernelDescriptor &desc,
     run.avgPowerW =
         truePower(agg, cond, &run, dataToggleFactor(desc.name));
     return run;
+}
+
+OracleSummary
+SiliconOracle::summary(const KernelDescriptor &desc,
+                       const MeasurementConditions &cond) const
+{
+    ExecutionMemo::Slot *slot =
+        memo_.slot(describeKernel(desc) + ";" + describeConditions(cond));
+    bool executed = false;
+    std::call_once(slot->once, [&] {
+        OracleRun run = execute(desc, cond);
+        OracleSummary &view = slot->view;
+        view.aggregate = run.activity.aggregate();
+        view.totalCycles = run.activity.totalCycles;
+        view.elapsedSec = run.activity.elapsedSec;
+        view.avgPowerW = run.avgPowerW;
+        view.dynamicW = run.dynamicW;
+        executed = true;
+    });
+    if (!executed)
+        obs::metrics().counter("hw.oracle.reused").add(1);
+    return slot->view;
+}
+
+SiliconOracle::ExecutionMemo::Slot *
+SiliconOracle::ExecutionMemo::slot(const std::string &key)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_ptr<Slot> &s = slots_[key];
+    if (!s)
+        s = std::make_unique<Slot>();
+    return s.get();
 }
 
 } // namespace aw

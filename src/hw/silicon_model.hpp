@@ -19,6 +19,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <unordered_map>
 
 #include "arch/activity.hpp"
 #include "arch/gpu_config.hpp"
@@ -85,6 +89,27 @@ struct OracleRun
     double dynamicW = 0;
 };
 
+/**
+ * The whole-kernel view of one execution: what NVML, Nsight and the
+ * concurrent scheduler read from a run, without its per-interval
+ * timeline. Every field is exactly what the matching OracleRun holds
+ * (`aggregate` is activity.aggregate()).
+ */
+struct OracleSummary
+{
+    ActivitySample aggregate;
+    double totalCycles = 0;
+    double elapsedSec = 0;
+    double avgPowerW = 0;
+    double dynamicW = 0;
+};
+
+/** Canonical one-line key fragments: every field that can change an
+ *  execution appears here. The oracle's execution memo and the result
+ *  cache key on the same strings. */
+std::string describeKernel(const KernelDescriptor &k);
+std::string describeConditions(const MeasurementConditions &c);
+
 /** Ground-truth parameter sets for the three target GPUs (Table 3). */
 SiliconParams voltaSiliconTruth();
 SiliconParams pascalSiliconTruth();
@@ -103,9 +128,24 @@ class SiliconOracle
     SiliconOracle(GpuConfig publicConfig, SiliconParams truth,
                   uint64_t hwSeed = 0x51C0ULL);
 
-    /** Run a kernel on silicon and return the true power and activity. */
+    /** Run a kernel on silicon and return the true power and activity.
+     *  Always executes; the per-interval timeline is not memoized. */
     OracleRun execute(const KernelDescriptor &desc,
                       const MeasurementConditions &cond = {}) const;
+
+    /**
+     * The whole-kernel view of execute(desc, cond), memoized per
+     * (describeKernel, describeConditions): the first request executes
+     * (`hw.oracle.executions`), every later one reuses the view
+     * (`hw.oracle.reused`), and concurrent first requests for one key
+     * execute once. An NVML measurement and the Nsight profile of the
+     * same kernel under the same conditions therefore share one
+     * execution, as they share one microbenchmark run in the paper's
+     * workflow. The memo lives as long as this oracle; a copy starts
+     * empty.
+     */
+    OracleSummary summary(const KernelDescriptor &desc,
+                          const MeasurementConditions &cond = {}) const;
 
     /**
      * Run several kernels concurrently, the way real hardware executes a
@@ -164,11 +204,38 @@ class SiliconOracle
     /** Mechanism-level divergence static power for active SMs. */
     double activeSmStaticW(const ActivitySample &sample) const;
 
+    /** summary()'s entries. A copy of an oracle starts without them,
+     *  and oracles are not assignable: views belong to the oracle that
+     *  ran them. */
+    class ExecutionMemo
+    {
+      public:
+        struct Slot
+        {
+            std::once_flag once;
+            OracleSummary view;
+        };
+
+        ExecutionMemo() = default;
+        ExecutionMemo(const ExecutionMemo &) {}
+        ExecutionMemo &operator=(const ExecutionMemo &) = delete;
+
+        /** The slot for `key`, created empty on first use. Slots are
+         *  never removed, so the pointer stays valid for the memo's
+         *  lifetime. */
+        Slot *slot(const std::string &key);
+
+      private:
+        std::mutex mu_;
+        std::unordered_map<std::string, std::unique_ptr<Slot>> slots_;
+    };
+
     GpuConfig publicConfig_;
     GpuConfig hiddenConfig_;
     SiliconParams truth_;
     GpuSimulator hiddenSim_;
     uint64_t hwSeed_;
+    mutable ExecutionMemo memo_;
 };
 
 /**

@@ -193,8 +193,8 @@ buildSuite()
                          256, 8, 2, 2, 20, 4096, true)));
 
     // ---- CUTLASS 1.3 (cutlass-wmma) ---------------------------------------
-    auto cutlass = [&](const char *name, const char *input, int ilp,
-                       int ctasPerSm) {
+    auto cutlass = [&](const char *name, [[maybe_unused]] const char *input,
+                       int ilp, int ctasPerSm) {
         // `input` is the Table 4 matrix shape; all three kernels belong
         // to the single cutlass-wmma workload.
         auto k = vk(name, "CUTLASS", "cutlass-wmma", 100,

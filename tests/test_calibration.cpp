@@ -9,6 +9,7 @@
 
 #include "common/stats.hpp"
 #include "core/calibration.hpp"
+#include "core/result_cache.hpp"
 #include "core/static_power.hpp"
 #include "obs/metrics.hpp"
 #include "ubench/microbench.hpp"
@@ -58,9 +59,10 @@ TEST(StaticPower, DivergenceSelectionMatchesSection45)
         // Selection is data-driven. The tensor mix is borderline: the
         // tensor unit's wide initiation interval keeps it unit-bound, so
         // some sawtooth survives and either model can win the midpoints.
-        if (d.category != MixCategory::IntFpTensor)
+        if (d.category != MixCategory::IntFpTensor) {
             EXPECT_EQ(d.chosen.halfWarp, expectedHalfWarp(d.category))
                 << mixCategoryName(d.category);
+        }
         // The selected model fits the midpoints better than 15%.
         double chosenErr =
             d.chosen.halfWarp ? d.halfWarpErrPct : d.linearErrPct;
@@ -119,7 +121,6 @@ TEST(StaticPower, MeasureStaticSeparatesDynamic)
 {
     // The tau*f static estimate of a compute kernel must be far below
     // its total power and above zero.
-    auto &cal = sharedVoltaCalibrator();
     NvmlEmu nvml(sharedVoltaCard());
     auto k = mixCategoryProbe(MixCategory::IntFp, 32);
     double staticW =
@@ -179,4 +180,34 @@ TEST(Calibrator, FermiStartBeatsAllOnesOnTraining)
     const auto &v = cal.variant(Variant::SassSim);
     EXPECT_LE(v.tuningFermi.trainingMapePct,
               v.tuningOnes.trainingMapePct + 0.5);
+}
+
+TEST(Calibrator, OwnsItsCardAndSharesExecutionsWithinACampaign)
+{
+    // The calibrator measures and profiles its own copy of the card, so
+    // NVML and Nsight share one oracle execution per kernel within the
+    // campaign, and a second calibrator of the same card starts cold.
+    // (Only a measurement and a profile here: a fresh calibrator's
+    // constantPower()/staticPower() would move the idle-SM counter that
+    // IdleSmGeomeanExcludesNonPositiveEstimates pins.)
+    auto &cache = ResultCache::instance();
+    const bool wasEnabled = cache.enabled();
+    cache.setEnabled(false); // every request reaches the oracle
+    auto &executions = obs::metrics().counter("hw.oracle.executions");
+    const KernelDescriptor k = occupancyKernel(40, 2);
+
+    AccelWattchCalibrator cal(sharedVoltaCard());
+    EXPECT_EQ(&cal.nvml().oracle(), &cal.oracle());
+    EXPECT_EQ(&cal.nsight().oracle(), &cal.oracle());
+    double before = executions.value();
+    EXPECT_TRUE(tryMeasurePowerCached(cal.oracle(), k));
+    cal.nsight().collectCounters(k);
+    EXPECT_EQ(executions.value(), before + 1);
+
+    AccelWattchCalibrator second(sharedVoltaCard());
+    before = executions.value();
+    EXPECT_TRUE(tryMeasurePowerCached(second.oracle(), k));
+    second.nsight().collectCounters(k);
+    EXPECT_EQ(executions.value(), before + 1);
+    cache.setEnabled(wasEnabled);
 }

@@ -45,8 +45,9 @@ TEST_P(CubicNoQuadRecovery, ExactOnNoiselessData)
     EXPECT_NEAR(fit.tau, tau, 1e-8);
     EXPECT_NEAR(fit.constant, constant, 1e-8);
     // A constant curve has zero variance: Pearson r is 0 by convention.
-    if (beta != 0 || tau != 0)
+    if (beta != 0 || tau != 0) {
         EXPECT_NEAR(fit.pearsonR, 1.0, 1e-9);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

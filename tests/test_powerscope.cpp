@@ -192,8 +192,9 @@ TEST(PowerScopeAnalyze, AttributionRanksTheGuiltyComponentFirst)
     EXPECT_DOUBLE_EQ(report.attribution[2].residualCorr, 0.0);
     // Energy bookkeeping: mem integrates to 100 J over the run.
     for (const auto &attr : report.attribution)
-        if (attr.component == "mem")
+        if (attr.component == "mem") {
             EXPECT_NEAR(attr.energyJ, 100.0, 1e-9);
+        }
 }
 
 TEST(PowerScopeAnalyze, UnionTrackListAcrossHeterogeneousRuns)

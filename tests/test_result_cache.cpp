@@ -478,3 +478,41 @@ TEST_F(ResultCacheTest, HeldLockIsLeftAlone)
     EXPECT_FALSE(cache.fetchPower(key, out));
     EXPECT_EQ(readBytes(lock), holderBytes);
 }
+
+TEST_F(ResultCacheTest, StoreBackingOffDoesNotBlockOtherStores)
+{
+    // A process runs its stores one at a time, but a store waiting out
+    // another writer's lock sleeps without holding that turn: a store of
+    // another key completes, and is fetchable, while it backs off.
+    auto &cache = ResultCache::instance();
+    const std::string heldKey = "backoff-held-key";
+    const std::string freeKey = "backoff-free-key";
+    const std::string lock = cache.pathFor(heldKey) + ".lock";
+    fs::create_directories(dir_);
+    {
+        std::ofstream f(lock, std::ios::binary);
+        f << "{\"schema\":2,\"kind\":\"pow";
+    }
+    auto &contended = obs::metrics().counter("cache.lock_contended");
+    auto &skipped = obs::metrics().counter("cache.lock_skipped");
+    const double contended0 = contended.value();
+    const double skipped0 = skipped.value();
+
+    // ~100 ms of backoff, then the store gives up: cache.lock_skipped
+    // rises just before it returns.
+    std::thread held([&] { cache.storePower(heldKey, 1.5); });
+    while (contended.value() == contended0)
+        std::this_thread::yield();
+    cache.storePower(freeKey, 2.5);
+    double out = 0;
+    const bool fetched = cache.fetchPower(freeKey, out);
+    const double skippedMeanwhile = skipped.value();
+    held.join();
+
+    EXPECT_TRUE(fetched);
+    EXPECT_EQ(out, 2.5);
+    EXPECT_EQ(skippedMeanwhile, skipped0)
+        << "the store of another key waited for the backing-off store";
+    EXPECT_EQ(skipped.value(), skipped0 + 1);
+    EXPECT_FALSE(fs::exists(cache.pathFor(heldKey)));
+}

@@ -6,11 +6,74 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <thread>
+
 #include "core/calibration.hpp"
 #include "hw/silicon_model.hpp"
+#include "obs/metrics.hpp"
 #include "ubench/microbench.hpp"
 
 using namespace aw;
+
+namespace {
+
+/** The kernels the execution-memo tests cover: compute-bound,
+ *  memory-bound, and an idle-SM probe that leaves most SMs gated. */
+std::vector<KernelDescriptor>
+memoKernels()
+{
+    auto compute = makeKernel(
+        "memo_compute", {{OpClass::FpFma, 0.5}, {OpClass::IntMad, 0.5}},
+        160, 8);
+    auto memory = makeKernel(
+        "memo_memory", {{OpClass::LdGlobal, 0.4}, {OpClass::IntAdd, 0.6}},
+        160, 8);
+    memory.memFootprintKb = 4096;
+    return {compute, memory, occupancyKernel(16, 0)};
+}
+
+/** Default conditions, a locked clock, and a hot chip. */
+std::vector<MeasurementConditions>
+memoConditions()
+{
+    MeasurementConditions locked, hot;
+    locked.freqGhz = 1.0;
+    hot.tempC = 80;
+    return {{}, locked, hot};
+}
+
+// ActivitySample holds only doubles, so it has no padding and memcmp
+// compares exactly its fields.
+static_assert(sizeof(ActivitySample) ==
+              sizeof(double) * (5 + kNumPowerComponents + kNumUnitKinds + 2));
+
+bool
+sameBits(const ActivitySample &a, const ActivitySample &b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+double
+executions()
+{
+    return obs::metrics().counter("hw.oracle.executions").value();
+}
+
+double
+reused()
+{
+    return obs::metrics().counter("hw.oracle.reused").value();
+}
+
+} // namespace
 
 TEST(Oracle, GatingHierarchyMatchesFigure3)
 {
@@ -187,4 +250,99 @@ TEST(Oracle, CaseStudyCardsDifferFromVolta)
         voltaSum += volta.energyNj[i];
     }
     EXPECT_GT(pascalSum, voltaSum);
+}
+
+TEST(OracleMemo, SummaryIsExecuteBitForBit)
+{
+    SiliconOracle card(voltaGV100(), voltaSiliconTruth());
+    for (const auto &k : memoKernels()) {
+        for (const auto &cond : memoConditions()) {
+            const OracleRun run = card.execute(k, cond);
+            const KernelActivity &act = run.activity;
+            // First request (executes) and repeat (reuses) alike.
+            for (int rep = 0; rep < 2; ++rep) {
+                const OracleSummary view = card.summary(k, cond);
+                EXPECT_TRUE(sameBits(view.aggregate, act.aggregate()))
+                    << k.name << " rep " << rep;
+                EXPECT_TRUE(sameBits(view.totalCycles, act.totalCycles));
+                EXPECT_TRUE(sameBits(view.elapsedSec, act.elapsedSec));
+                EXPECT_TRUE(sameBits(view.avgPowerW, run.avgPowerW));
+                EXPECT_TRUE(sameBits(view.dynamicW, run.dynamicW));
+            }
+        }
+    }
+}
+
+TEST(OracleMemo, RepeatRequestReusesTheExecution)
+{
+    SiliconOracle card(voltaGV100(), voltaSiliconTruth());
+    for (const auto &k : memoKernels()) {
+        for (const auto &cond : memoConditions()) {
+            const double exec0 = executions(), reused0 = reused();
+            card.summary(k, cond);
+            EXPECT_EQ(executions(), exec0 + 1) << k.name;
+            EXPECT_EQ(reused(), reused0) << k.name;
+            card.summary(k, cond);
+            card.summary(k, cond);
+            EXPECT_EQ(executions(), exec0 + 1) << k.name;
+            EXPECT_EQ(reused(), reused0 + 2) << k.name;
+        }
+    }
+}
+
+TEST(OracleMemo, CopiedOracleStartsEmpty)
+{
+    SiliconOracle card(voltaGV100(), voltaSiliconTruth());
+    const auto k = memoKernels().front();
+    const OracleSummary original = card.summary(k);
+    SiliconOracle copy(card);
+    const double exec0 = executions();
+    const OracleSummary copied = copy.summary(k);
+    EXPECT_EQ(executions(), exec0 + 1);
+    EXPECT_TRUE(sameBits(copied.avgPowerW, original.avgPowerW));
+    EXPECT_TRUE(sameBits(copied.aggregate, original.aggregate));
+    // The original keeps its own entry.
+    card.summary(k);
+    EXPECT_EQ(executions(), exec0 + 1);
+}
+
+TEST(OracleMemo, ClockAndTemperatureAreSeparateEntries)
+{
+    SiliconOracle card(voltaGV100(), voltaSiliconTruth());
+    for (const auto &k : memoKernels()) {
+        const double exec0 = executions();
+        for (const auto &cond : memoConditions())
+            card.summary(k, cond);
+        EXPECT_EQ(executions(), exec0 + 3) << k.name;
+        MeasurementConditions hot;
+        hot.tempC = 80;
+        // Same activity, different leakage: the hot entry is its own.
+        EXPECT_GT(card.summary(k, hot).avgPowerW,
+                  card.summary(k).avgPowerW)
+            << k.name;
+        EXPECT_EQ(executions(), exec0 + 3) << k.name;
+    }
+}
+
+TEST(OracleMemo, ConcurrentFirstRequestsExecuteOnce)
+{
+    SiliconOracle card(voltaGV100(), voltaSiliconTruth());
+    const auto k = memoKernels()[1];
+    const double exec0 = executions(), reused0 = reused();
+    std::atomic<bool> go{false};
+    std::vector<OracleSummary> views(4);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < views.size(); ++t)
+        threads.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            views[t] = card.summary(k);
+        });
+    go.store(true);
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(executions(), exec0 + 1);
+    EXPECT_EQ(reused(), reused0 + 3);
+    for (const auto &v : views)
+        EXPECT_TRUE(sameBits(v.aggregate, views[0].aggregate));
 }

@@ -129,8 +129,9 @@ TEST(TraceGen, TransactionsPropagated)
     k.transactionsPerMemAccess = 8;
     auto p = generateSassProgram(k);
     for (const auto &inst : p.body)
-        if (inst.op == OpClass::LdGlobal)
+        if (inst.op == OpClass::LdGlobal) {
             EXPECT_EQ(inst.transactions, 8);
+        }
 }
 
 TEST(TraceGen, RegisterOperandCounts)
