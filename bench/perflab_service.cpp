@@ -241,9 +241,9 @@ serviceFini(perflab::BenchContext &ctx)
 
 // ===========================================================================
 // service_batch: the duplicate-heavy scenario. Each round pipelines one
-// burst of 20 requests — 4 fresh kernels x 5 concurrent duplicates
+// burst of 25 requests — 5 fresh kernels x 5 concurrent duplicates
 // (80% duplicate share) — into a daemon running the full duplicate-work
-// eliminator (singleflight + micro-batch window + shared memo). fini
+// eliminator (singleflight coalescing + shared memo). fini
 // re-measures the identical burst shape against a daemon with the
 // eliminator off (exact PR 8 path) and gates a >= 3x speedup, then
 // gates the cross-process memo: a second daemon sharing only the memo
@@ -401,7 +401,6 @@ serviceBatchInit(perflab::BenchContext &ctx)
     opts.threads = 2;
     opts.maxQueue = 128;
     opts.defaultDeadlineMs = 60e3;
-    opts.batchWindowUs = 200;
     opts.sharedMemoDir = kBatchMemoDir;
     // coalesce is already on by default; spelled out for contrast with
     // the eliminator-off daemon in fini.
@@ -494,8 +493,6 @@ serviceBatchFini(perflab::BenchContext &ctx)
     }
 
     const long coalesced = batchStat(*g_batchServer, "coalesced");
-    const long batches = batchStat(*g_batchServer, "batches");
-    const long batched = batchStat(*g_batchServer, "batched");
     g_batchServer->requestStop();
     const int drainRc = g_batchServer->wait();
     g_batchServer.reset();
@@ -543,8 +540,6 @@ serviceBatchFini(perflab::BenchContext &ctx)
                                   : 0);
     ctx.setExtra("speedup_vs_uncoalesced", speedup);
     ctx.setExtra("coalesced", static_cast<double>(coalesced));
-    ctx.setExtra("batches", static_cast<double>(batches));
-    ctx.setExtra("batched", static_cast<double>(batched));
     ctx.setExtra("bad_replies", static_cast<double>(g_batchBad + offBad));
     ctx.setExtra("shared_admitted", static_cast<double>(sharedAdmitted));
     ctx.setExtra("shared_memo_hits", static_cast<double>(sharedHits));
@@ -555,11 +550,10 @@ serviceBatchFini(perflab::BenchContext &ctx)
                      : 0);
 
     std::printf("  burst %.0fx dup=%d%%: on %.1f ms, off %.1f ms, "
-                "speedup %.2fx (coalesced %ld, batched %ld/%ld)\n",
+                "speedup %.2fx (coalesced %ld)\n",
                 static_cast<double>(kBurstKernels) * kBurstDuplicates,
                 100 * (kBurstDuplicates - 1) / kBurstDuplicates,
-                onMinSec * 1e3, offMinSec * 1e3, speedup, coalesced,
-                batched, batches);
+                onMinSec * 1e3, offMinSec * 1e3, speedup, coalesced);
     std::printf("  shared memo: admitted %ld, hits %ld, reply %s\n",
                 sharedAdmitted, sharedHits,
                 byteIdentical ? "byte-identical" : "MISMATCH");

@@ -262,20 +262,21 @@ service_leg() {
     fi
 
     # Duplicate-work eliminator under chaos: two daemons share one
-    # cross-process memo directory with the micro-batch window on. The
-    # same seeded fault traffic hits both — the second largely serves
-    # from entries the first published — and both must survive it,
-    # drain cleanly on SIGTERM exactly like the plain-config daemon, and
-    # leave nothing in the memo directory but published entries.
-    echo "== service: eliminator leg (batching + shared memo, 2 daemons)"
+    # cross-process memo directory. Daemon B must answer the kernels A
+    # published from the shared memo alone, without admitting a job.
+    # Then the same seeded fault traffic hits both, and both must
+    # survive it, drain cleanly on SIGTERM exactly like the
+    # plain-config daemon, and leave nothing in the memo directory but
+    # published entries.
+    echo "== service: eliminator leg (coalescing + shared memo, 2 daemons)"
     local memodir="${dir}/awd.shared-memo"
     local port_a="${dir}/awd-a.port" port_b="${dir}/awd-b.port"
     rm -rf "${memodir}"
     rm -f "${port_a}" "${port_b}"
-    AW_SERVICE_BATCH_WINDOW_US=200 AW_SERVICE_SHARED_MEMO_DIR="${memodir}" \
+    AW_SERVICE_SHARED_MEMO_DIR="${memodir}" \
         "${dir}/examples/awd" --port-file "${port_a}" --threads 2 &
     local pid_a=$!
-    AW_SERVICE_BATCH_WINDOW_US=200 AW_SERVICE_SHARED_MEMO_DIR="${memodir}" \
+    AW_SERVICE_SHARED_MEMO_DIR="${memodir}" \
         "${dir}/examples/awd" --port-file "${port_b}" --threads 2 &
     local pid_b=$!
     trap 'kill "${pid_a}" "${pid_b}" 2>/dev/null || true' RETURN
@@ -283,6 +284,19 @@ service_leg() {
     "${dir}/examples/awd_client" --port-file "${port_a}" --count 8 --ids
     AW_FAULTS="${service_chaos_spec}" "${dir}/examples/awd_client" \
         --port-file "${port_a}" --count 20 --chaos
+    # awd_client cycles through 4 kernels, and A's smoke run published
+    # all of them: a clean pass over them on B is 4 shared-memo hits.
+    "${dir}/examples/awd_client" --port-file "${port_b}" --count 4
+    local counters
+    counters=$("${dir}/examples/awd_client" --port-file "${port_b}" \
+        --stats --scope counters)
+    if ! grep -q '"shared_memo_hits":4[,}]' <<<"${counters}" ||
+        ! grep -q '"admitted":0[,}]' <<<"${counters}"; then
+        echo "error: daemon B did not serve A's published kernels from" \
+             "the shared memo alone (want shared_memo_hits 4, admitted 0):" \
+             "${counters}" >&2
+        return 1
+    fi
     AW_FAULTS="${service_chaos_spec}" "${dir}/examples/awd_client" \
         --port-file "${port_b}" --count 20 --chaos
 

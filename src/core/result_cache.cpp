@@ -1,6 +1,5 @@
 #include "core/result_cache.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fcntl.h>
@@ -542,71 +541,6 @@ FileEntryStore::storeText(const std::string &key, const char *kind,
                           const std::string &valueJson)
 {
     storeEntryIn(dir_, key, kind, valueJson);
-}
-
-FileEntryStore::SweepStats
-FileEntryStore::sweep(std::uintmax_t maxTotalBytes, double ttlSec)
-{
-    SweepStats stats;
-    struct Entry
-    {
-        fs::path path;
-        std::uintmax_t bytes = 0;
-        fs::file_time_type mtime;
-    };
-    std::vector<Entry> entries;
-    std::uintmax_t total = 0;
-    std::error_code ec;
-    // Every fs call below takes an error_code: the directory may not
-    // exist yet, and entries may vanish under a concurrent daemon —
-    // neither is an error for a best-effort sweep.
-    for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
-         it.increment(ec)) {
-        if (!it->is_regular_file(ec) || it->path().extension() != ".json")
-            continue;
-        Entry e;
-        e.path = it->path();
-        e.bytes = it->file_size(ec);
-        if (ec) {
-            ec.clear();
-            continue;
-        }
-        e.mtime = fs::last_write_time(e.path, ec);
-        if (ec) {
-            ec.clear();
-            continue;
-        }
-        total += e.bytes;
-        entries.push_back(std::move(e));
-    }
-    stats.scanned = entries.size();
-
-    // Oldest first, so the byte-bound pass below evicts in FIFO order.
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.mtime < b.mtime;
-              });
-
-    const auto now = fs::file_time_type::clock::now();
-    for (const Entry &e : entries) {
-        const bool stale =
-            ttlSec > 0 &&
-            std::chrono::duration<double>(now - e.mtime).count() > ttlSec;
-        const bool overBytes = maxTotalBytes > 0 && total > maxTotalBytes;
-        if (!stale && !overBytes)
-            break; // sorted: nothing later is stale, and we fit
-        std::error_code rec;
-        fs::remove(e.path, rec);
-        if (rec)
-            continue;
-        total -= e.bytes;
-        if (stale)
-            ++stats.removedStale;
-        else
-            ++stats.removedOverBytes;
-    }
-    stats.bytesAfter = total;
-    return stats;
 }
 
 bool

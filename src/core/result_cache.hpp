@@ -130,7 +130,9 @@ class ResultCache
  * This is the cross-process tier of the awd estimator memo: K daemons
  * pointed at one directory converge to a single cache, and a reader can
  * never observe a torn entry (it is detected, removed, and recomputed).
- * Fault injection (cache_corrupt) applies to stores here too.
+ * Like the result cache, the store never evicts: an entry is removed
+ * only when a reader convicts it. Fault injection (cache_corrupt)
+ * applies to stores here too.
  */
 class FileEntryStore
 {
@@ -156,27 +158,6 @@ class FileEntryStore
      *  the same content-addressed bytes). */
     void storeText(const std::string &key, const char *kind,
                    const std::string &valueJson);
-
-    /** What a sweep() found and removed. */
-    struct SweepStats
-    {
-        size_t scanned = 0;          ///< entries examined
-        size_t removedStale = 0;     ///< evicted past the TTL
-        size_t removedOverBytes = 0; ///< evicted for the byte bound
-        std::uintmax_t bytesAfter = 0; ///< entry bytes remaining
-    };
-
-    /**
-     * Bound the store: remove entries whose mtime is older than
-     * `ttlSec` (0 disables the age criterion), then — oldest first —
-     * entries past the `maxTotalBytes` byte bound (0 disables it).
-     * In-progress writes are untouched (only `*.json` entries are
-     * considered; `.lock` files, which hold a store's payload until its
-     * rename, are skipped), every removal is best-effort (a concurrent
-     * reader simply misses), and nothing here ever throws — a
-     * disappearing file mid-sweep is fine.
-     */
-    SweepStats sweep(std::uintmax_t maxTotalBytes, double ttlSec);
 
   private:
     std::string dir_;

@@ -76,15 +76,6 @@ unixNowSec()
         .count();
 }
 
-/** Approximate heap footprint of one L1 memo entry. */
-size_t
-memoEntryBytes(const std::string &key, const EstimateResponse &resp)
-{
-    return key.size() + sizeof(EstimateResponse) + resp.id.size() +
-           resp.status.size() + resp.degraded.size() +
-           resp.errorCause.size() + resp.errorMessage.size();
-}
-
 /** Entry kind tag in the shared store. One kind for both positive and
  *  negative entries: the store maps a key to exactly one file, and the
  *  recorded response's own status distinguishes them. */
@@ -143,55 +134,6 @@ Estimator::warmup()
 }
 
 EstimateResponse
-Estimator::evaluateWith(Card &card, Variant variant,
-                        const AccelWattchModel &model, const Job &job)
-{
-    using Clock = std::chrono::steady_clock;
-    const EstimateRequest &req = job.req;
-
-    KernelActivity act;
-    if (req.hasActivity) {
-        act = req.activity;
-    } else {
-        SimOptions opts;
-        opts.freqGhz = req.freqGhz;
-        const int detail = job.degrade ? 1 : req.detail;
-        if (detail > 0)
-            opts.detailSms = detail;
-        opts.cancel = job.cancel.get();
-        const GpuSimulator &sim = card.cal->simulator();
-        act = variant == Variant::PtxSim
-                  ? sim.runPtx(req.kernel, opts)
-                  : runSassCached(sim, req.kernel, opts);
-        // The watchdog flips the flag only past the deadline, so a set
-        // flag means this run (or its tail) is already late. Checking
-        // the flag — not lastSimRunStats().cancelled — stays correct on
-        // result-cache hits, where no simulation ran at all.
-        if (job.cancel && job.cancel->load(std::memory_order_relaxed))
-            return deadlineResponse(req.id);
-    }
-
-    const PowerBreakdown b = model.evaluateKernel(act);
-    EstimateResponse resp;
-    resp.id = req.id;
-    resp.powerW = b.totalW();
-    resp.elapsedSec = act.elapsedSec;
-    resp.energyJ = resp.powerW * act.elapsedSec;
-    resp.constW = b.constW;
-    resp.staticW = b.staticW;
-    resp.idleSmW = b.idleSmW;
-    resp.dynamicW = b.dynamicTotalW();
-    if (job.degrade) {
-        resp.degraded = "reduced_fidelity";
-        obs::metrics().counter("service.degraded").add(1);
-    }
-    if (Clock::now() > job.effectiveDeadline())
-        return deadlineResponse(req.id);
-    obs::metrics().counter("service.ok").add(1);
-    return resp;
-}
-
-EstimateResponse
 Estimator::run(const Job &job)
 {
     using Clock = std::chrono::steady_clock;
@@ -219,54 +161,46 @@ Estimator::run(const Job &job)
         model = &card->cal->variant(variant).model;
     }
 
-    return evaluateWith(*card, variant, *model, job);
-}
-
-void
-Estimator::runBatch(const std::vector<Job> &jobs,
-                    std::vector<EstimateResponse> &out)
-{
-    using Clock = std::chrono::steady_clock;
-    out.clear();
-    if (jobs.empty())
-        return;
-
-    // All jobs are batchCompatible: one card lookup, one variant
-    // resolution, and one calibrated-model fetch (the per-card mutex)
-    // serve the whole batch.
-    const EstimateRequest &head = jobs.front().req;
-    Card *card = findCard(head.card);
-    Variant variant{};
-    const bool variantOk = variantFromToken(head.variant, variant);
-    const AccelWattchModel *model = nullptr;
-    if (card && variantOk) {
-        std::lock_guard<std::mutex> lock(card->mu);
-        model = &card->cal->variant(variant).model;
+    KernelActivity act;
+    if (req.hasActivity) {
+        act = req.activity;
+    } else {
+        SimOptions opts;
+        opts.freqGhz = req.freqGhz;
+        const int detail = job.degrade ? 1 : req.detail;
+        if (detail > 0)
+            opts.detailSms = detail;
+        opts.cancel = job.cancel.get();
+        const GpuSimulator &sim = card->cal->simulator();
+        act = variant == Variant::PtxSim
+                  ? sim.runPtx(req.kernel, opts)
+                  : runSassCached(sim, req.kernel, opts);
+        // The watchdog flips the flag only past the deadline, so a set
+        // flag means this run (or its tail) is already late. Checking
+        // the flag — not lastSimRunStats().cancelled — stays correct on
+        // result-cache hits, where no simulation ran at all.
+        if (job.cancel && job.cancel->load(std::memory_order_relaxed))
+            return deadlineResponse(req.id);
     }
 
-    out.reserve(jobs.size());
-    for (const Job &job : jobs) {
-        const EstimateRequest &req = job.req;
-        obs::metrics().counter("service.estimates").add(1);
-        if (Clock::now() >= job.effectiveDeadline() ||
-            (job.cancel && job.cancel->load(std::memory_order_relaxed))) {
-            out.push_back(deadlineResponse(req.id));
-            continue;
-        }
-        if (!card) {
-            out.push_back(errorResponse(req.id, "protocol_error",
-                                        "unknown card '" + req.card +
-                                            "'"));
-            continue;
-        }
-        if (!variantOk) {
-            out.push_back(errorResponse(req.id, "protocol_error",
-                                        "unknown variant '" +
-                                            req.variant + "'"));
-            continue;
-        }
-        out.push_back(evaluateWith(*card, variant, *model, job));
+    const PowerBreakdown b = model->evaluateKernel(act);
+    EstimateResponse resp;
+    resp.id = req.id;
+    resp.powerW = b.totalW();
+    resp.elapsedSec = act.elapsedSec;
+    resp.energyJ = resp.powerW * act.elapsedSec;
+    resp.constW = b.constW;
+    resp.staticW = b.staticW;
+    resp.idleSmW = b.idleSmW;
+    resp.dynamicW = b.dynamicTotalW();
+    if (job.degrade) {
+        resp.degraded = "reduced_fidelity";
+        obs::metrics().counter("service.degraded").add(1);
     }
+    if (Clock::now() > job.effectiveDeadline())
+        return deadlineResponse(req.id);
+    obs::metrics().counter("service.ok").add(1);
+    return resp;
 }
 
 bool
@@ -289,15 +223,10 @@ Estimator::memoStoreLocal(const std::string &key,
     std::lock_guard<std::mutex> lock(memoMu_);
     if (memo_.count(key))
         return;
-    const size_t bytes = memoEntryBytes(key, resp);
     memo_.emplace(key, resp);
-    memoOrder_.emplace_back(key, bytes);
-    memoBytes_ += bytes;
-    while (memoOrder_.size() > kMemoCapacity ||
-           (memoByteLimit_ > 0 && memoBytes_ > memoByteLimit_ &&
-            memoOrder_.size() > 1)) {
-        memoBytes_ -= memoOrder_.front().second;
-        memo_.erase(memoOrder_.front().first);
+    memoOrder_.push_back(key);
+    while (memoOrder_.size() > kMemoCapacity) {
+        memo_.erase(memoOrder_.front());
         memoOrder_.pop_front();
     }
 }
@@ -312,32 +241,10 @@ Estimator::memoStore(const std::string &key, const EstimateResponse &resp)
 }
 
 void
-Estimator::setMemoByteLimit(size_t bytes)
-{
-    std::lock_guard<std::mutex> lock(memoMu_);
-    memoByteLimit_ = bytes;
-}
-
-void
 Estimator::setSharedMemoDir(const std::string &dir)
 {
     shared_ = dir.empty() ? nullptr
                           : std::make_unique<FileEntryStore>(dir);
-    // Startup sweep: a daemon pointed at a long-lived fleet directory
-    // trims it to the configured bounds before serving traffic.
-    sweepShared();
-}
-
-void
-Estimator::setSharedMemoBytes(long bytes)
-{
-    sharedMemoBytes_ = bytes < 0 ? 0 : bytes;
-}
-
-void
-Estimator::setSharedMemoTtlSec(double sec)
-{
-    sharedMemoTtlSec_ = sec < 0 ? 0 : sec;
 }
 
 size_t
@@ -345,41 +252,6 @@ Estimator::memoEntries() const
 {
     std::lock_guard<std::mutex> lock(memoMu_);
     return memo_.size();
-}
-
-size_t
-Estimator::memoBytesUsed() const
-{
-    std::lock_guard<std::mutex> lock(memoMu_);
-    return memoBytes_;
-}
-
-void
-Estimator::sweepShared()
-{
-    if (!shared_ || (sharedMemoBytes_ <= 0 && sharedMemoTtlSec_ <= 0))
-        return;
-    const FileEntryStore::SweepStats s = shared_->sweep(
-        static_cast<std::uintmax_t>(sharedMemoBytes_), sharedMemoTtlSec_);
-    sharedSweeps_.fetch_add(1, std::memory_order_relaxed);
-    sharedEvictedStale_.fetch_add(static_cast<long>(s.removedStale),
-                                  std::memory_order_relaxed);
-    sharedEvictedBytes_.fetch_add(static_cast<long>(s.removedOverBytes),
-                                  std::memory_order_relaxed);
-    if (s.removedStale + s.removedOverBytes > 0) {
-        obs::metrics().counter("service.shared_memo_evicted").add(
-            static_cast<double>(s.removedStale + s.removedOverBytes));
-        AW_DEBUGF("service", "shared memo sweep: %zu scanned, %zu stale "
-                  "+ %zu over-bytes removed, %ju bytes remain",
-                  s.scanned, s.removedStale, s.removedOverBytes,
-                  static_cast<uintmax_t>(s.bytesAfter));
-    }
-}
-
-std::string
-Estimator::sharedPathFor(const std::string &key) const
-{
-    return shared_ ? shared_->pathFor(key) : std::string();
 }
 
 void
@@ -403,10 +275,6 @@ Estimator::sharedStore(const std::string &key, const EstimateResponse &resp)
     value += "}";
     shared_->storeText(key, kSharedMemoKind, value);
     obs::metrics().counter("service.shared_memo_writes").add(1);
-    // Opportunistic bound enforcement: a full directory scan per store
-    // would be quadratic, so only every 32nd store pays for one.
-    if (sharedStores_.fetch_add(1, std::memory_order_relaxed) % 32 == 31)
-        sweepShared();
 }
 
 void

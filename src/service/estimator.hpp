@@ -20,11 +20,11 @@
  * directly on the posted trace.
  *
  * The memo is content-addressed (requestContentKey) and two-level.
- * L1 is the in-process table, bounded by entry count and optionally by
- * total bytes (FIFO eviction either way): it serves repeat requests
- * inline from the reactor and doubles as the cached-fallback tier of
- * graceful degradation — under overload, a request whose answer is
- * memoized is served stale (`degraded: "cached"`) instead of shed.
+ * L1 is the in-process table, bounded at kMemoCapacity entries (FIFO
+ * eviction): it serves repeat requests inline from the reactor and
+ * doubles as the cached-fallback tier of graceful degradation — under
+ * overload, a request whose answer is memoized is served stale
+ * (`degraded: "cached"`) instead of shed.
  * L2 (optional, setSharedMemoDir) is a cross-process FileEntryStore:
  * ok-responses are written through on compute and promoted into L1 on
  * hit, so a fleet of daemons sharing one directory converges to one
@@ -33,11 +33,12 @@
  * short TTL (negative cache), so the fleet does not hammer a key that
  * deterministically fails. The directory must be private to daemons
  * with identical card/variant configuration — a key that errors on
- * one daemon must error on all of them.
+ * one daemon must error on all of them. Nothing bounds or sweeps L2:
+ * an estimate is a pure function of its key, so an ok entry answers
+ * that key for good, and a negative entry past its TTL is a miss.
  */
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -51,7 +52,10 @@
 
 namespace aw::service {
 
-/** Bound on memoized responses (FIFO-evicted beyond this). */
+/** Bound on memoized responses (FIFO-evicted beyond this). Only ok
+ *  responses are memoized: a 16-byte key, the response itself (232
+ *  bytes, its short status strings inline) and an id of at most 256
+ *  bytes, so a full L1 holds about 2.1 MB. */
 constexpr size_t kMemoCapacity = 4096;
 
 /** Lifetime of a shared-memo *negative* entry (an estimate that
@@ -89,16 +93,6 @@ class Estimator
      */
     EstimateResponse run(const Job &job);
 
-    /**
-     * Evaluate a batch of mutually batchCompatible jobs in one pass:
-     * the card lookup, variant resolution, and calibrated-model fetch
-     * (the per-card mutex) are paid once, then each job's activity is
-     * sourced and evaluated with its own deadline/cancel semantics.
-     * `out[i]` answers `jobs[i]`, bit-identical to run(jobs[i]).
-     */
-    void runBatch(const std::vector<Job> &jobs,
-                  std::vector<EstimateResponse> &out);
-
     /** L1 memo lookup by content key; true on hit (a *copy* is
      *  returned — callers patch per-request fields like id). */
     bool memoLookup(const std::string &key, EstimateResponse &out);
@@ -112,43 +106,13 @@ class Estimator
     void memoStoreLocal(const std::string &key,
                         const EstimateResponse &resp);
 
-    /** Bound L1 by total approximate bytes on top of the entry-count
-     *  cap; 0 (the default) keeps the entry-count bound only. */
-    void setMemoByteLimit(size_t bytes);
-
     /** Attach the cross-process L2 store rooted at `dir` (empty
-     *  detaches). Call before serving traffic — after the byte/TTL
-     *  bounds below, so the attach-time sweep sees them. */
+     *  detaches). Call before serving traffic. */
     void setSharedMemoDir(const std::string &dir);
     bool sharedEnabled() const { return shared_ != nullptr; }
 
-    /** Bound the shared L2 directory by total entry bytes; 0 (the
-     *  default) keeps it unbounded. Enforced by a sweep at attach time
-     *  and opportunistically on store, oldest entries first. */
-    void setSharedMemoBytes(long bytes);
-
-    /** Age out shared L2 entries older than `sec` seconds at each
-     *  sweep; 0 (the default) disables the age criterion. */
-    void setSharedMemoTtlSec(double sec);
-
     /** L1 introspection (the stats endpoint's estimator section). */
     size_t memoEntries() const;
-    size_t memoBytesUsed() const;
-
-    /** Entries this daemon's sweeps evicted from the shared L2, by
-     *  cause (stale = past the TTL, bytes = over the byte bound). */
-    long sharedEvictedStale() const
-    {
-        return sharedEvictedStale_.load(std::memory_order_relaxed);
-    }
-    long sharedEvictedBytes() const
-    {
-        return sharedEvictedBytes_.load(std::memory_order_relaxed);
-    }
-    long sharedSweeps() const
-    {
-        return sharedSweeps_.load(std::memory_order_relaxed);
-    }
 
     /** Probe L2 for `key`. On Hit, `out` is the canonical recorded
      *  ok-response; on NegativeHit, the recorded error. */
@@ -158,9 +122,6 @@ class Estimator
      *  flow through memoStore instead. */
     void sharedStoreNegative(const std::string &key,
                              const EstimateResponse &resp);
-
-    /** L2 entry path for `key` (tests: crash-mid-write tearing). */
-    std::string sharedPathFor(const std::string &key) const;
 
   private:
     struct Card
@@ -173,34 +134,15 @@ class Estimator
 
     Card *findCard(const std::string &name);
     void sharedStore(const std::string &key, const EstimateResponse &resp);
-    /** Run one bounded sweep of the shared directory (no-op unless a
-     *  store is attached and a byte or TTL bound is set). */
-    void sweepShared();
-    /** Activity sourcing + model evaluation for one job whose card /
-     *  variant / model are already resolved (run and runBatch share
-     *  this, so batched answers are bit-identical to unbatched). */
-    EstimateResponse evaluateWith(Card &card, Variant variant,
-                                  const AccelWattchModel &model,
-                                  const Job &job);
 
     std::vector<std::string> cardNames_;
     std::vector<std::unique_ptr<Card>> cards_;
 
     mutable std::mutex memoMu_; ///< const introspection accessors lock it
     std::unordered_map<std::string, EstimateResponse> memo_;
-    /** Insertion order with each entry's approximate footprint (the
-     *  byte bound must know what an eviction frees). */
-    std::deque<std::pair<std::string, size_t>> memoOrder_;
-    size_t memoBytes_ = 0;
-    size_t memoByteLimit_ = 0;
+    std::deque<std::string> memoOrder_; ///< insertion order (FIFO evict)
 
     std::unique_ptr<FileEntryStore> shared_;
-    long sharedMemoBytes_ = 0;     ///< L2 byte bound (0 = unbounded)
-    double sharedMemoTtlSec_ = 0;  ///< L2 entry TTL (0 = no age bound)
-    std::atomic<long> sharedStores_{0}; ///< paces opportunistic sweeps
-    std::atomic<long> sharedEvictedStale_{0};
-    std::atomic<long> sharedEvictedBytes_{0};
-    std::atomic<long> sharedSweeps_{0};
 };
 
 } // namespace aw::service

@@ -46,64 +46,6 @@ RequestQueue::pop(Job &out)
     return true;
 }
 
-bool
-batchCompatible(const Job &a, const Job &b)
-{
-    return a.req.hasKernel && b.req.hasKernel &&
-           a.req.card == b.req.card && a.req.variant == b.req.variant &&
-           a.req.freqGhz == b.req.freqGhz &&
-           a.req.detail == b.req.detail && a.degrade == b.degrade;
-}
-
-bool
-RequestQueue::popBatch(std::vector<Job> &out, size_t maxBatch,
-                       double windowSec)
-{
-    out.clear();
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return closed_ || !jobs_.empty(); });
-    if (jobs_.empty())
-        return false;
-    out.push_back(std::move(jobs_.front()));
-    jobs_.pop_front();
-    if (windowSec <= 0 || maxBatch <= 1 || !out.front().req.hasKernel)
-        return true;
-
-    const auto windowEnd =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(windowSec));
-    auto gather = [&] {
-        for (auto it = jobs_.begin();
-             it != jobs_.end() && out.size() < maxBatch;) {
-            if (batchCompatible(out.front(), *it)) {
-                out.push_back(std::move(*it));
-                it = jobs_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    };
-    while (true) {
-        gather();
-        // This waiter may have consumed a push notification meant for
-        // a plain pop()-er while leaving incompatible work queued;
-        // pass the baton so no job waits out our window on an idle
-        // sibling worker.
-        if (!jobs_.empty())
-            cv_.notify_one();
-        if (out.size() >= maxBatch || closed_)
-            break;
-        if (cv_.wait_until(lock, windowEnd) == std::cv_status::timeout) {
-            gather();
-            break;
-        }
-    }
-    if (!jobs_.empty())
-        cv_.notify_one();
-    return true;
-}
-
 void
 RequestQueue::close()
 {
@@ -119,13 +61,6 @@ RequestQueue::depth() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return jobs_.size();
-}
-
-bool
-RequestQueue::closed() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
 }
 
 } // namespace aw::service

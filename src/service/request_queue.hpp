@@ -10,6 +10,10 @@
  * the offered load. Shedding is a structured response with a
  * retry-after hint, never a dropped connection.
  *
+ * Each worker pops one job at a time. Duplicate work is folded before
+ * a job is queued (the memo tiers and singleflight coalescing in the
+ * reactor), never inside the queue.
+ *
  * close() drains: pending jobs keep flowing to workers, pop() returns
  * false only once the queue is both closed and empty. That is the
  * SIGTERM story — stop admitting, finish what was admitted.
@@ -23,7 +27,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "service/protocol.hpp"
 #include "service/service_obs.hpp"
@@ -82,13 +85,6 @@ struct Job
     }
 };
 
-/** True when two queued jobs may share one estimator pass: same card,
- *  variant, clock, fidelity (requested detail AND degrade decision),
- *  and both kernel-descriptor requests (activity blobs skip simulation
- *  — there is nothing to share). Per-request results still split out
- *  individually, so batching never changes any answer. */
-bool batchCompatible(const Job &a, const Job &b);
-
 /** Bounded MPMC queue with the admission ladder above. */
 class RequestQueue
 {
@@ -106,24 +102,10 @@ class RequestQueue
     /** Blocking dequeue; false once closed *and* empty (worker exit). */
     bool pop(Job &out);
 
-    /**
-     * Blocking dequeue of up to `maxBatch` mutually batchCompatible
-     * jobs. The first job is taken as pop() would; with a positive
-     * `windowSec` the call then gathers compatible jobs from anywhere
-     * in the queue, waiting out the window for more arrivals (close()
-     * cuts the wait short, so a drain is never delayed). Incompatible
-     * jobs stay queued for other workers. windowSec <= 0 degenerates
-     * to exactly pop() — a size-1 batch with no wait and no scan.
-     * False once closed and empty.
-     */
-    bool popBatch(std::vector<Job> &out, size_t maxBatch,
-                  double windowSec);
-
     /** Stop admitting; wake every waiter. Pending jobs still drain. */
     void close();
 
     size_t depth() const;
-    bool closed() const;
 
   private:
     const size_t soft_;

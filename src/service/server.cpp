@@ -45,37 +45,70 @@ constexpr size_t kMaxEchoBytes = 256;
 constexpr size_t kMaxSessionOutBytes =
     2 * (kFrameHeaderBytes + kMaxFrameBytes);
 
-long
-envLong(const char *name, long def, long lo, long hi)
+/**
+ * The daemon's AW_SERVICE_* variables. Every lookup records the name it
+ * asked for, so the names fromEnvironment() reads are the one list of
+ * knobs, and warnUnread() names any other AW_SERVICE_* variable that is
+ * set: a removed or mistyped knob is reported instead of silently
+ * doing nothing.
+ */
+class ServiceEnv
 {
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return def;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < lo || v > hi) {
-        warn("%s='%s' is not an integer in [%ld, %ld]; using %ld", name,
-             env, lo, hi, def);
-        return def;
+  public:
+    /** The variable's value; null when unset or empty. */
+    const char *text(const char *name)
+    {
+        read_.emplace_back(name);
+        const char *env = std::getenv(name);
+        return env && *env ? env : nullptr;
     }
-    return v;
-}
 
-double
-envDouble(const char *name, double def, double lo, double hi)
-{
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return def;
-    char *end = nullptr;
-    double v = std::strtod(env, &end);
-    if (end == env || *end != '\0' || !(v >= lo) || !(v <= hi)) {
-        warn("%s='%s' is not a number in [%g, %g]; using %g", name, env,
-             lo, hi, def);
-        return def;
+    long integer(const char *name, long def, long lo, long hi)
+    {
+        const char *env = text(name);
+        if (!env)
+            return def;
+        char *end = nullptr;
+        long v = std::strtol(env, &end, 10);
+        if (end == env || *end != '\0' || v < lo || v > hi) {
+            warn("%s='%s' is not an integer in [%ld, %ld]; using %ld",
+                 name, env, lo, hi, def);
+            return def;
+        }
+        return v;
     }
-    return v;
-}
+
+    double number(const char *name, double def, double lo, double hi)
+    {
+        const char *env = text(name);
+        if (!env)
+            return def;
+        char *end = nullptr;
+        double v = std::strtod(env, &end);
+        if (end == env || *end != '\0' || !(v >= lo) || !(v <= hi)) {
+            warn("%s='%s' is not a number in [%g, %g]; using %g", name,
+                 env, lo, hi, def);
+            return def;
+        }
+        return v;
+    }
+
+    /** One warning for each set AW_SERVICE_* variable never looked up. */
+    void warnUnread() const
+    {
+        for (char **e = environ; *e; ++e) {
+            const std::string_view var(*e);
+            const std::string_view name = var.substr(0, var.find('='));
+            if (name.starts_with("AW_SERVICE_") &&
+                std::find(read_.begin(), read_.end(), name) == read_.end())
+                warn("%.*s is set, but awd does not read it; ignoring it",
+                     static_cast<int>(name.size()), name.data());
+        }
+    }
+
+  private:
+    std::vector<std::string_view> read_;
+};
 
 bool
 setNonBlocking(int fd)
@@ -179,38 +212,27 @@ ServerOptions
 ServerOptions::fromEnvironment()
 {
     ServerOptions opts;
+    ServiceEnv env;
     opts.port = static_cast<int>(
-        envLong("AW_SERVICE_PORT", opts.port, 0, 65535));
+        env.integer("AW_SERVICE_PORT", opts.port, 0, 65535));
     opts.threads = static_cast<int>(
-        envLong("AW_SERVICE_THREADS", opts.threads, 1, 256));
+        env.integer("AW_SERVICE_THREADS", opts.threads, 1, 256));
     opts.maxQueue = static_cast<int>(
-        envLong("AW_SERVICE_MAX_QUEUE", opts.maxQueue, 2, 1 << 20));
-    opts.defaultDeadlineMs = envDouble(
+        env.integer("AW_SERVICE_MAX_QUEUE", opts.maxQueue, 2, 1 << 20));
+    opts.defaultDeadlineMs = env.number(
         "AW_SERVICE_DEADLINE_MS", opts.defaultDeadlineMs, 1, 86400e3);
     opts.idleTimeoutMs =
-        envDouble("AW_SERVICE_IDLE_MS", opts.idleTimeoutMs, 10, 86400e3);
-    opts.batchWindowUs = envDouble("AW_SERVICE_BATCH_WINDOW_US",
-                                   opts.batchWindowUs, 0, 1e6);
-    opts.memoBytes =
-        envLong("AW_SERVICE_MEMO_BYTES", opts.memoBytes, 0, 1L << 40);
-    if (const char *dir = std::getenv("AW_SERVICE_SHARED_MEMO_DIR");
-        dir && *dir)
+        env.number("AW_SERVICE_IDLE_MS", opts.idleTimeoutMs, 10, 86400e3);
+    if (const char *dir = env.text("AW_SERVICE_SHARED_MEMO_DIR"))
         opts.sharedMemoDir = dir;
-    opts.sharedMemoBytes = envLong("AW_SERVICE_SHARED_MEMO_BYTES",
-                                   opts.sharedMemoBytes, 0, 1L << 40);
-    opts.sharedMemoTtlSec = envDouble("AW_SERVICE_SHARED_MEMO_TTL_SEC",
-                                      opts.sharedMemoTtlSec, 0, 1e9);
-    if (const char *trace = std::getenv("AW_SERVICE_TRACE");
-        trace && *trace)
+    if (const char *trace = env.text("AW_SERVICE_TRACE"))
         opts.tracePath = trace;
-    opts.slowMs = envDouble("AW_SERVICE_SLOW_MS", opts.slowMs, 0, 86400e3);
+    opts.slowMs = env.number("AW_SERVICE_SLOW_MS", opts.slowMs, 0, 86400e3);
     opts.flightN = static_cast<int>(
-        envLong("AW_SERVICE_FLIGHT_N", opts.flightN, 0, 1 << 20));
-    if (const char *dump = std::getenv("AW_SERVICE_FLIGHT_DUMP");
-        dump && *dump)
+        env.integer("AW_SERVICE_FLIGHT_N", opts.flightN, 0, 1 << 20));
+    if (const char *dump = env.text("AW_SERVICE_FLIGHT_DUMP"))
         opts.flightDumpPath = dump;
-    if (const char *cards = std::getenv("AW_SERVICE_CARDS");
-        cards && *cards) {
+    if (const char *cards = env.text("AW_SERVICE_CARDS")) {
         opts.cards.clear();
         std::string spec = cards;
         size_t pos = 0;
@@ -225,6 +247,7 @@ ServerOptions::fromEnvironment()
         if (opts.cards.empty())
             opts.cards.push_back("volta");
     }
+    env.warnUnread();
     return opts;
 }
 
@@ -236,13 +259,6 @@ struct AwdServer::Impl
                     1, static_cast<size_t>(opts.maxQueue) * 3 / 4),
                 static_cast<size_t>(opts.maxQueue))
     {
-        if (opts.memoBytes > 0)
-            estimator.setMemoByteLimit(
-                static_cast<size_t>(opts.memoBytes));
-        // Bounds before the directory: attaching runs the startup
-        // sweep, which must already see them.
-        estimator.setSharedMemoBytes(opts.sharedMemoBytes);
-        estimator.setSharedMemoTtlSec(opts.sharedMemoTtlSec);
         if (!opts.sharedMemoDir.empty())
             estimator.setSharedMemoDir(opts.sharedMemoDir);
         if (opts.flightN > 0)
@@ -320,8 +336,6 @@ struct AwdServer::Impl
               sessions(r.counter("sessions")),
               coalesced(r.counter("coalesced")),
               coalesceCancelled(r.counter("coalesce_cancelled")),
-              batches(r.counter("batches")),
-              batched(r.counter("batched")),
               sharedHits(r.counter("shared_memo_hits")),
               sharedNegHits(r.counter("shared_memo_negative_hits")),
               deadline(r.counter("deadline")), slow(r.counter("slow")),
@@ -336,8 +350,8 @@ struct AwdServer::Impl
 
         obs::Counter &admitted, &served, &shed, &degraded, &replayed,
             &memoHits, &protocolErrors, &sessions, &coalesced,
-            &coalesceCancelled, &batches, &batched, &sharedHits,
-            &sharedNegHits, &deadline, &slow;
+            &coalesceCancelled, &sharedHits, &sharedNegHits, &deadline,
+            &slow;
         obs::Gauge &queueDepth, &inflightGauge, &sessionsOpen,
             &flightsOpen, &outBufferBytes;
         obs::Timer &e2e, &queueWait, &sim;
@@ -445,57 +459,25 @@ struct AwdServer::Impl
 
     void workerLoop()
     {
-        // A window of 0 (the default) makes popBatch behave exactly
-        // like pop(): size-1 batches, no wait, no queue scan — the
-        // single-job path below is then bit-identical to PR 8.
-        const double windowSec =
-            opts.batchWindowUs > 0 ? opts.batchWindowUs * 1e-6 : 0.0;
-        constexpr size_t kMaxBatchJobs = 16;
-        std::vector<Job> batch;
-        std::vector<EstimateResponse> resps;
-        while (queue.popBatch(batch, kMaxBatchJobs, windowSec)) {
+        while (true) {
+            Job job;
+            if (!queue.pop(job))
+                return;
             const Clock::time_point popped = Clock::now();
-            for (const Job &job : batch) {
-                st.queueWait.record(
-                    std::chrono::duration<double>(popped - job.arrival)
-                        .count());
-                if (job.span)
-                    job.span->tPopNs = toNs(popped);
-            }
-            if (batch.size() == 1) {
-                Job &job = batch.front();
-                const Clock::time_point simStart = Clock::now();
-                EstimateResponse resp = estimator.run(job);
-                const Clock::time_point simEnd = Clock::now();
-                st.sim.record(
-                    std::chrono::duration<double>(simEnd - simStart)
-                        .count());
-                if (job.span) {
-                    job.span->tSimStartNs = toNs(simStart);
-                    job.span->tSimEndNs = toNs(simEnd);
-                }
-                finishJob(job, std::move(resp));
-                continue;
-            }
-            st.batches.add(1);
-            st.batched.add(static_cast<double>(batch.size()));
-            obs::metrics().counter("service.batched").add(
-                static_cast<double>(batch.size()));
-            // The whole-batch duration is recorded once in the timer
-            // and stamped onto every member's span: the members share
-            // one estimator pass, so a per-job split would be fiction.
+            st.queueWait.record(
+                std::chrono::duration<double>(popped - job.arrival).count());
+            if (job.span)
+                job.span->tPopNs = toNs(popped);
             const Clock::time_point simStart = Clock::now();
-            estimator.runBatch(batch, resps);
+            EstimateResponse resp = estimator.run(job);
             const Clock::time_point simEnd = Clock::now();
             st.sim.record(
                 std::chrono::duration<double>(simEnd - simStart).count());
-            for (size_t i = 0; i < batch.size(); ++i) {
-                if (batch[i].span) {
-                    batch[i].span->tSimStartNs = toNs(simStart);
-                    batch[i].span->tSimEndNs = toNs(simEnd);
-                }
-                finishJob(batch[i], std::move(resps[i]));
+            if (job.span) {
+                job.span->tSimStartNs = toNs(simStart);
+                job.span->tSimEndNs = toNs(simEnd);
             }
+            finishJob(job, std::move(resp));
         }
     }
 
@@ -599,8 +581,6 @@ struct AwdServer::Impl
         appendCount(out, "sessions", st.sessions);
         appendCount(out, "coalesced", st.coalesced);
         appendCount(out, "coalesce_cancelled", st.coalesceCancelled);
-        appendCount(out, "batches", st.batches);
-        appendCount(out, "batched", st.batched);
         appendCount(out, "shared_memo_hits", st.sharedHits);
         appendCount(out, "shared_memo_negative_hits", st.sharedNegHits);
         appendCount(out, "degraded", st.degraded);
@@ -629,16 +609,8 @@ struct AwdServer::Impl
             out += "\"cards\":" + std::to_string(estimator.cards().size());
             out += ",\"memo_entries\":" +
                    std::to_string(estimator.memoEntries());
-            out += ",\"memo_bytes\":" +
-                   std::to_string(estimator.memoBytesUsed());
             out += ",\"shared_memo\":";
             out += estimator.sharedEnabled() ? "true" : "false";
-            out += ",\"shared_evicted_stale\":" +
-                   std::to_string(estimator.sharedEvictedStale());
-            out += ",\"shared_evicted_bytes\":" +
-                   std::to_string(estimator.sharedEvictedBytes());
-            out += ",\"shared_sweeps\":" +
-                   std::to_string(estimator.sharedSweeps());
             out += "},\"flight_recorder\":{\"enabled\":";
             out += recorder ? "true" : "false";
             out += ",\"capacity\":" +

@@ -39,12 +39,14 @@
  *    its timeout cancels the stragglers, force-closes sessions that
  *    still hold unflushed output (a peer that never reads cannot hang
  *    the drain), and returns 1.
- *  - Duplicate-work elimination (DESIGN.md §10.8–10.10): singleflight
- *    coalescing folds concurrent identical requests onto one running
- *    computation; an optional micro-batch window groups compatible
- *    queued requests into one estimator pass; an optional shared memo
- *    directory lets a fleet of daemons converge to one cross-process
- *    result cache with torn-write detection and a negative-cache TTL.
+ *  - Duplicate-work elimination (DESIGN.md §10): an estimate is a pure
+ *    function of its content key, so work is saved only by not
+ *    recomputing a key. Singleflight coalescing folds concurrent
+ *    identical requests onto one running computation, the in-process
+ *    memo answers repeats, and an optional shared memo directory lets
+ *    a fleet of daemons converge to one cross-process result cache
+ *    with torn-write detection and a negative-cache TTL. Each worker
+ *    pops and runs one job at a time.
  */
 #pragma once
 
@@ -71,13 +73,8 @@ struct ServerOptions
     double drainTimeoutMs = 10000;  ///< max graceful-drain time on stop
     std::vector<std::string> cards{"volta"}; ///< served card models
     bool warmup = true;             ///< pre-calibrate before serving
-    /** Micro-batch gather window in microseconds; 0 disables batching
-     *  (each worker pops one job at a time, exactly the PR 8 path). */
-    double batchWindowUs = 0;
     /** Cross-process shared memo directory; empty disables the tier. */
     std::string sharedMemoDir;
-    /** Byte bound on the in-process memo (0 = entry-count bound only). */
-    long memoBytes = 0;
     /** Singleflight coalescing of concurrent identical requests. Not
      *  an environment knob — it is semantically transparent and on by
      *  default; benches flip it off to measure the win. */
@@ -98,19 +95,16 @@ struct ServerOptions
     /** File the flight recorder dumps to on SIGUSR1 /
      *  requestFlightDump(). */
     std::string flightDumpPath = "awd_flight.json";
-    /** Shared-memo directory byte bound, swept at startup and
-     *  opportunistically on store (0 = unbounded). */
-    long sharedMemoBytes = 0;
-    /** Shared-memo entry TTL in seconds for the same sweep (0 = no
-     *  age bound). */
-    double sharedMemoTtlSec = 0;
 
     /** Defaults overridden by AW_SERVICE_PORT / _THREADS / _MAX_QUEUE /
-     *  _DEADLINE_MS / _CARDS / _IDLE_MS / _BATCH_WINDOW_US /
-     *  _SHARED_MEMO_DIR / _MEMO_BYTES / _TRACE / _SLOW_MS / _FLIGHT_N /
-     *  _FLIGHT_DUMP / _SHARED_MEMO_BYTES / _SHARED_MEMO_TTL_SEC
-     *  (invalid values warn + keep the default). */
+     *  _DEADLINE_MS / _CARDS / _IDLE_MS / _SHARED_MEMO_DIR / _TRACE /
+     *  _SLOW_MS / _FLIGHT_N / _FLIGHT_DUMP (invalid values warn + keep
+     *  the default). Any other AW_SERVICE_* variable that is set — a
+     *  removed or mistyped knob — is named in one warning and ignored. */
     static ServerOptions fromEnvironment();
+
+    friend bool operator==(const ServerOptions &,
+                           const ServerOptions &) = default;
 };
 
 class AwdServer

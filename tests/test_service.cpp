@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -29,6 +30,7 @@
 
 #include <filesystem>
 
+#include "common/log.hpp"
 #include "core/calibration.hpp"
 #include "core/result_cache.hpp"
 #include "obs/json.hpp"
@@ -777,8 +779,8 @@ TEST(ServiceQueue, AdmissionLadderIsDeterministic)
 }
 
 // ---------------------------------------------------------------------------
-// Duplicate-work elimination: singleflight coalescing, the micro-batch
-// window, and the cross-process shared memo (DESIGN.md §10.8–10.10).
+// Duplicate-work elimination: singleflight coalescing and the
+// cross-process shared memo (DESIGN.md §10).
 
 namespace {
 
@@ -932,139 +934,75 @@ TEST(ServiceCoalesce, FollowerCancelSemantics)
     EXPECT_EQ(server.wait(), 0);
 }
 
-TEST(ServiceBatch, BatchedResultsAreBitIdenticalToUnbatched)
-{
-    std::vector<service::EstimateRequest> reqs;
-    for (int i = 0; i < 3; ++i)
-        reqs.push_back(estimateOf(
-            testKernel(runUnique("svc_batch_k" + std::to_string(i)))));
-    std::string pipelined;
-    for (const service::EstimateRequest &req : reqs)
-        pipelined += frameOf(req);
-
-    // Reference daemon: batch window off — each request is popped and
-    // simulated on its own, exactly the pre-batching path.
-    std::vector<std::string> unbatched;
-    {
-        service::ServerOptions sopts;
-        sopts.threads = 1;
-        sopts.maxQueue = 64;
-        sopts.defaultDeadlineMs = 120e3;
-        sopts.warmup = true;
-        service::AwdServer server(sopts);
-        std::string error;
-        ASSERT_TRUE(server.start(error)) << error;
-        RawConn conn;
-        ASSERT_TRUE(conn.connectTo(server.port()));
-        ASSERT_TRUE(conn.sendAll(pipelined));
-        ASSERT_TRUE(conn.readResponses(reqs.size(), unbatched));
-        EXPECT_EQ(statOf(server, "batches"), 0);
-        server.requestStop();
-        EXPECT_EQ(server.wait(), 0);
-    }
-
-    // Batching daemon: one slow job occupies the single worker while
-    // the three compatible requests queue up behind it, so one popBatch
-    // gathers all three into a single estimator pass.
-    std::vector<std::string> batched;
-    {
-        service::ServerOptions sopts;
-        sopts.threads = 1;
-        sopts.maxQueue = 64;
-        sopts.defaultDeadlineMs = 120e3;
-        sopts.warmup = true;
-        sopts.batchWindowUs = 20e3;
-        service::AwdServer server(sopts);
-        std::string error;
-        ASSERT_TRUE(server.start(error)) << error;
-
-        RawConn busy;
-        ASSERT_TRUE(busy.connectTo(server.port()));
-        ASSERT_TRUE(busy.sendAll(
-            frameOf(estimateOf(testKernel(runUnique("svc_batch_busy"),
-                                          /*iterations=*/1024)))));
-        // Let the worker pop the busy job alone (and its empty gather
-        // window lapse) before the batchable requests arrive.
-        std::this_thread::sleep_for(std::chrono::milliseconds(80));
-
-        RawConn conn;
-        ASSERT_TRUE(conn.connectTo(server.port()));
-        ASSERT_TRUE(conn.sendAll(pipelined));
-        ASSERT_TRUE(conn.readResponses(reqs.size(), batched));
-        EXPECT_EQ(statOf(server, "batches"), 1)
-            << "the queued trio was not gathered into one batch";
-        EXPECT_EQ(statOf(server, "batched"), 3);
-        server.requestStop();
-        EXPECT_EQ(server.wait(), 0);
-    }
-
-    // Split results must be byte-identical to the unbatched replies —
-    // batching is a scheduling optimisation, never a semantic one.
-    ASSERT_EQ(unbatched.size(), batched.size());
-    for (size_t i = 0; i < unbatched.size(); ++i)
-        EXPECT_EQ(unbatched[i], batched[i]) << "request " << i;
-}
-
 TEST(ServiceSharedMemo, SecondDaemonAnswersByteIdenticalWithoutSimulating)
 {
-    const std::string dir = "awd_shared_memo_test_dir";
-    fs::remove_all(dir);
-    const service::EstimateRequest req =
-        estimateOf(testKernel(runUnique("svc_shared_hit")));
-    const std::string frame = frameOf(req);
+    // The library result cache holds no PTX activity, so for a ptx
+    // request the shared tier is all that spares daemon B a calibration
+    // and a simulation.
+    for (const char *variant : {"sass", "ptx"}) {
+        SCOPED_TRACE(variant);
+        const std::string dir = "awd_shared_memo_test_dir";
+        fs::remove_all(dir);
+        service::EstimateRequest req =
+            estimateOf(testKernel(runUnique("svc_shared_hit")));
+        req.variant = variant;
+        const std::string frame = frameOf(req);
 
-    service::ServerOptions sopts;
-    sopts.threads = 1;
-    sopts.maxQueue = 64;
-    sopts.defaultDeadlineMs = 120e3;
-    sopts.warmup = true;
-    sopts.sharedMemoDir = dir;
+        service::ServerOptions sopts;
+        sopts.threads = 1;
+        sopts.maxQueue = 64;
+        sopts.defaultDeadlineMs = 120e3;
+        sopts.warmup = true;
+        sopts.sharedMemoDir = dir;
 
-    // Daemon A computes the answer (publishing it to the shared tier)
-    // and then serves the repeat from its in-process memo.
-    std::string memoServed;
-    {
-        service::AwdServer a(sopts);
-        std::string error;
-        ASSERT_TRUE(a.start(error)) << error;
-        RawConn conn;
-        ASSERT_TRUE(conn.connectTo(a.port()));
-        ASSERT_TRUE(conn.sendAll(frame));
-        std::vector<std::string> frames;
-        ASSERT_TRUE(conn.readResponses(1, frames));
-        EXPECT_EQ(parsedResponse(frames[0]).degraded, "none");
-        ASSERT_TRUE(conn.sendAll(frame));
-        frames.clear();
-        ASSERT_TRUE(conn.readResponses(1, frames));
-        memoServed = frames[0];
-        EXPECT_EQ(parsedResponse(memoServed).degraded, "cached");
-        EXPECT_EQ(statOf(a, "admitted"), 1);
-        a.requestStop();
-        EXPECT_EQ(a.wait(), 0);
+        // Daemon A computes the answer (publishing it to the shared
+        // tier) and then serves the repeat from its in-process memo.
+        std::string memoServed;
+        {
+            service::AwdServer a(sopts);
+            std::string error;
+            ASSERT_TRUE(a.start(error)) << error;
+            RawConn conn;
+            ASSERT_TRUE(conn.connectTo(a.port()));
+            ASSERT_TRUE(conn.sendAll(frame));
+            std::vector<std::string> frames;
+            ASSERT_TRUE(conn.readResponses(1, frames));
+            EXPECT_EQ(parsedResponse(frames[0]).degraded, "none");
+            ASSERT_TRUE(conn.sendAll(frame));
+            frames.clear();
+            ASSERT_TRUE(conn.readResponses(1, frames));
+            memoServed = frames[0];
+            EXPECT_EQ(parsedResponse(memoServed).degraded, "cached");
+            EXPECT_EQ(statOf(a, "admitted"), 1);
+            a.requestStop();
+            EXPECT_EQ(a.wait(), 0);
+        }
+
+        // Daemon B — a different process in spirit, sharing only the
+        // memo directory — answers the same request from the shared
+        // tier without admitting a single job, byte-identical to A's
+        // memo-served reply.
+        {
+            service::ServerOptions bopts = sopts;
+            bopts.warmup = false; // nothing should ever reach the simulator
+            service::AwdServer b(bopts);
+            std::string error;
+            ASSERT_TRUE(b.start(error)) << error;
+            RawConn conn;
+            ASSERT_TRUE(conn.connectTo(b.port()));
+            ASSERT_TRUE(conn.sendAll(frame));
+            std::vector<std::string> frames;
+            ASSERT_TRUE(conn.readResponses(1, frames));
+            EXPECT_EQ(frames[0], memoServed);
+            EXPECT_EQ(statOf(b, "shared_memo_hits"), 1);
+            EXPECT_EQ(statOf(b, "admitted"), 0)
+                << "second daemon simulated instead of using the shared "
+                   "memo";
+            b.requestStop();
+            EXPECT_EQ(b.wait(), 0);
+        }
+        fs::remove_all(dir);
     }
-
-    // Daemon B — a different process in spirit, sharing only the memo
-    // directory — answers the same request from the shared tier without
-    // admitting a single job, byte-identical to A's memo-served reply.
-    {
-        service::ServerOptions bopts = sopts;
-        bopts.warmup = false; // nothing should ever reach the simulator
-        service::AwdServer b(bopts);
-        std::string error;
-        ASSERT_TRUE(b.start(error)) << error;
-        RawConn conn;
-        ASSERT_TRUE(conn.connectTo(b.port()));
-        ASSERT_TRUE(conn.sendAll(frame));
-        std::vector<std::string> frames;
-        ASSERT_TRUE(conn.readResponses(1, frames));
-        EXPECT_EQ(frames[0], memoServed);
-        EXPECT_EQ(statOf(b, "shared_memo_hits"), 1);
-        EXPECT_EQ(statOf(b, "admitted"), 0)
-            << "second daemon simulated instead of using the shared memo";
-        b.requestStop();
-        EXPECT_EQ(b.wait(), 0);
-    }
-    fs::remove_all(dir);
 }
 
 TEST(ServiceSharedMemo, NegativeEntryReplaysTheFailureWithinTtl)
@@ -1506,11 +1444,109 @@ TEST(ServiceStats, CountersExactlyMatchScriptedOutcomes)
     EXPECT_EQ(statOf(server, "replayed"), 1);
     EXPECT_EQ(statOf(server, "protocol_errors"), 1);
     EXPECT_EQ(statOf(server, "coalesce_cancelled"), 0);
-    EXPECT_EQ(statOf(server, "batches"), 0);
-    EXPECT_EQ(statOf(server, "batched"), 0);
     EXPECT_EQ(statOf(server, "deadline"), 0);
     EXPECT_EQ(statOf(server, "shared_memo_hits"), 0);
 
     server.requestStop();
     EXPECT_EQ(server.wait(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Environment knobs: the names fromEnvironment() reads are the only
+// list of knobs, and any other AW_SERVICE_* variable that is set is
+// named in a warning instead of silently doing nothing.
+
+namespace {
+
+std::vector<std::string> g_warnings;
+
+void
+collectWarning(LogLevel level, const std::string &message)
+{
+    if (level == LogLevel::Warn)
+        g_warnings.push_back(message);
+}
+
+/** Clears the caller's AW_SERVICE_* variables and collects warnings for
+ *  one scope; restores both on exit. */
+class ServiceEnvScope
+{
+  public:
+    ServiceEnvScope()
+    {
+        for (char **e = environ; *e; ++e) {
+            const std::string var(*e);
+            const size_t eq = var.find('=');
+            if (var.starts_with("AW_SERVICE_"))
+                saved_.emplace_back(var.substr(0, eq), var.substr(eq + 1));
+        }
+        for (const auto &[name, value] : saved_)
+            ::unsetenv(name.c_str());
+        g_warnings.clear();
+        setLogObserver(&collectWarning);
+    }
+
+    ~ServiceEnvScope()
+    {
+        setLogObserver(nullptr);
+        for (const std::string &name : set_)
+            ::unsetenv(name.c_str());
+        for (const auto &[name, value] : saved_)
+            ::setenv(name.c_str(), value.c_str(), 1);
+    }
+
+    void set(const std::string &name, const std::string &value)
+    {
+        ::setenv(name.c_str(), value.c_str(), 1);
+        set_.push_back(name);
+    }
+
+  private:
+    std::vector<std::pair<std::string, std::string>> saved_;
+    std::vector<std::string> set_;
+};
+
+} // namespace
+
+TEST(ServiceOptions, UnreadServiceVariablesAreNamedInAWarning)
+{
+    {
+        ServiceEnvScope env;
+        env.set("AW_SERVICE_SHARED_MEMO_BYTES", "1024");
+        const service::ServerOptions opts =
+            service::ServerOptions::fromEnvironment();
+        ASSERT_EQ(g_warnings.size(), 1u);
+        EXPECT_NE(g_warnings[0].find("AW_SERVICE_SHARED_MEMO_BYTES"),
+                  std::string::npos)
+            << g_warnings[0];
+        EXPECT_TRUE(opts == service::ServerOptions{});
+    }
+    {
+        ServiceEnvScope env;
+        env.set("AW_SERVICE_PORT", "4321");
+        env.set("AW_SERVICE_THREADS", "3");
+        env.set("AW_SERVICE_MAX_QUEUE", "64");
+        env.set("AW_SERVICE_DEADLINE_MS", "500");
+        env.set("AW_SERVICE_IDLE_MS", "2000");
+        env.set("AW_SERVICE_CARDS", "volta,pascal");
+        env.set("AW_SERVICE_SHARED_MEMO_DIR", "awd_env_memo_dir");
+        env.set("AW_SERVICE_TRACE", "awd_env_trace.json");
+        env.set("AW_SERVICE_SLOW_MS", "5");
+        env.set("AW_SERVICE_FLIGHT_N", "16");
+        env.set("AW_SERVICE_FLIGHT_DUMP", "awd_env_flight.json");
+        const service::ServerOptions opts =
+            service::ServerOptions::fromEnvironment();
+        EXPECT_TRUE(g_warnings.empty()) << g_warnings.front();
+        EXPECT_EQ(opts.port, 4321);
+        EXPECT_EQ(opts.threads, 3);
+        EXPECT_EQ(opts.maxQueue, 64);
+        EXPECT_EQ(opts.defaultDeadlineMs, 500);
+        EXPECT_EQ(opts.idleTimeoutMs, 2000);
+        EXPECT_EQ(opts.cards, (std::vector<std::string>{"volta", "pascal"}));
+        EXPECT_EQ(opts.sharedMemoDir, "awd_env_memo_dir");
+        EXPECT_EQ(opts.tracePath, "awd_env_trace.json");
+        EXPECT_EQ(opts.slowMs, 5);
+        EXPECT_EQ(opts.flightN, 16);
+        EXPECT_EQ(opts.flightDumpPath, "awd_env_flight.json");
+    }
 }
