@@ -249,8 +249,12 @@ serviceFini(perflab::BenchContext &ctx)
 // gates the cross-process memo: a second daemon sharing only the memo
 // directory must answer a repeated request byte-identically without
 // admitting a single job. Kernels are unique per process run AND per
-// burst, so neither the in-process memo nor the on-disk activity cache
-// can serve a duplicate — only the eliminator under test can.
+// burst, so the in-process memo cannot serve a duplicate. The on-disk
+// activity cache could: once a burst's first run of a kernel stores
+// its activity, the eliminator-off daemon reads it back for each later
+// duplicate. So the paired bursts behind the 3x gate run with the
+// result cache off, and the gate measures coalescing alone; the timed
+// rounds keep it on.
 
 const char *const kBatchCacheDir = "results/perf_service_batch_cache";
 const char *const kBatchMemoDir = "results/perf_service_batch_memo";
@@ -446,6 +450,9 @@ serviceBatchFini(perflab::BenchContext &ctx)
         if (!off.start(error)) {
             ctx.fail("eliminator-off daemon start failed: " + error);
         } else {
+            // Both daemons' workers read this switch while running; it
+            // is atomic, so flipping it under them is safe.
+            ResultCache::instance().setEnabled(false);
             constexpr int kMinPairs = 3, kMaxPairs = 8;
             for (int i = 0; i < kMaxPairs; ++i) {
                 if (i >= kMinPairs && speedup >= 3.0)
@@ -467,6 +474,7 @@ serviceBatchFini(perflab::BenchContext &ctx)
                 speedup = std::max(speedup, onSec > 0 ? offSec / onSec
                                                       : 0.0);
             }
+            ResultCache::instance().setEnabled(true);
             off.requestStop();
             offDrainRc = off.wait();
         }

@@ -389,15 +389,17 @@ service_obs_leg() {
     grep -q 'awd/request' "${tracefile}"
 
     # Spans cross the reactor, a worker, and the reactor again; the
-    # observability suites under TSan race those handoffs for real.
-    # (Only those suites: the wider service suite carries wall-clock
-    # bounds that TSan's slowdown trips on a 1-CPU box.)
-    echo "== service-obs: observability suites under TSan"
+    # observability suites under TSan race those handoffs for real. The
+    # shared-memo suite races the result cache's entry reads on the
+    # reactor against workers' stores. (Only those suites: the wider
+    # service suite carries wall-clock bounds that TSan's slowdown trips
+    # on a 1-CPU box.)
+    echo "== service-obs: observability and shared-memo suites under TSan"
     local tsan_dir=build-tsan
     cmake -B "${tsan_dir}" -S . -DAW_SANITIZE=thread >/dev/null
     cmake --build "${tsan_dir}" -j --target test_service >/dev/null
     "${tsan_dir}/tests/test_service" \
-        --gtest_filter='ServiceObservability.*:ServiceStats.*'
+        --gtest_filter='ServiceObservability.*:ServiceStats.*:ServiceSharedMemo.*'
 
     echo "== service-obs: overhead gate (obs-on within 3% of obs-off)"
     "${dir}/bench/aw_bench" --filter service_obs \

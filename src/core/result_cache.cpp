@@ -4,9 +4,9 @@
 #include <cstdlib>
 #include <fcntl.h>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <sstream>
+#include <sys/stat.h>
 #include <thread>
 #include <unistd.h>
 
@@ -131,6 +131,54 @@ sampleFromJson(const obs::JsonValue &v, ActivitySample &out)
            getNumber(v, "intMulInsts", out.intMulInsts);
 }
 
+// The text decoder walks the bytes appendSampleJson / activityToJson
+// write, literal by literal: each member's name and the punctuation
+// before it are one expected literal.
+
+void
+expectLiteral(obs::JsonCursor &cur, std::string_view lit)
+{
+    if (!cur.consumeLiteral(lit))
+        cur.die("unexpected member");
+}
+
+double
+numberAfter(obs::JsonCursor &cur, std::string_view lit)
+{
+    expectLiteral(cur, lit);
+    return cur.number();
+}
+
+template <typename Array>
+void
+fixedArrayAfter(obs::JsonCursor &cur, std::string_view lit, Array &out)
+{
+    expectLiteral(cur, lit);
+    cur.expect('[');
+    for (size_t i = 0; i < out.size(); ++i) {
+        if (i)
+            cur.expect(',');
+        out[i] = cur.number();
+    }
+    cur.expect(']');
+}
+
+void
+readSample(obs::JsonCursor &cur, ActivitySample &s)
+{
+    s.cycles = numberAfter(cur, "{\"cycles\":");
+    s.freqGhz = numberAfter(cur, ",\"freqGhz\":");
+    s.voltage = numberAfter(cur, ",\"voltage\":");
+    fixedArrayAfter(cur, ",\"accesses\":", s.accesses);
+    s.avgActiveSms = numberAfter(cur, ",\"avgActiveSms\":");
+    s.avgActiveLanesPerWarp =
+        numberAfter(cur, ",\"avgActiveLanesPerWarp\":");
+    fixedArrayAfter(cur, ",\"unitInsts\":", s.unitInsts);
+    s.intAddInsts = numberAfter(cur, ",\"intAddInsts\":");
+    s.intMulInsts = numberAfter(cur, ",\"intMulInsts\":");
+    cur.expect('}');
+}
+
 } // namespace
 
 bool
@@ -157,8 +205,35 @@ activityFromJson(const obs::JsonValue &v, KernelActivity &out)
     return true;
 }
 
+bool
+activityFromJson(std::string_view text, KernelActivity &out)
+{
+    obs::JsonCursor cur{text};
+    KernelActivity a;
+    try {
+        expectLiteral(cur, "{\"kernelName\":");
+        cur.string(a.kernelName);
+        a.totalCycles = numberAfter(cur, ",\"totalCycles\":");
+        a.elapsedSec = numberAfter(cur, ",\"elapsedSec\":");
+        expectLiteral(cur, ",\"samples\":[");
+        if (!cur.consume(']')) {
+            do
+                readSample(cur, a.samples.emplace_back());
+            while (cur.consume(','));
+            cur.expect(']');
+        }
+        cur.expect('}');
+    } catch (const obs::JsonError &) {
+        return false;
+    }
+    if (cur.pos != text.size())
+        return false;
+    out = std::move(a);
+    return true;
+}
+
 uint64_t
-fnv1a64(const std::string &s)
+fnv1a64(std::string_view s)
 {
     uint64_t h = 0xcbf29ce484222325ULL;
     for (unsigned char c : s)
@@ -254,113 +329,128 @@ ResultCache::pathFor(const std::string &key) const
 
 namespace {
 
-/** Shared fetch: on success `value` holds the entry's "value" member
- *  and, when `rawValueOut` is non-null, the exact value text as stored
- *  (already checksum-verified — byte-identical to what was written). */
+/** The one number that fills `text` (a power entry's value) into
+ *  `out`; false, leaving `out` untouched, on anything else. */
+bool
+numberFromText(std::string_view text, double &out)
+{
+    obs::JsonCursor cur{text};
+    try {
+        const double v = cur.number();
+        if (cur.pos != text.size())
+            return false;
+        out = v;
+        return true;
+    } catch (const obs::JsonError &) {
+        return false;
+    }
+}
+
+/** Read the whole file at `path` with one open, an fstat for its size
+ *  and one read; false when it cannot be opened. */
+bool
+readWholeFile(const std::string &path, std::string &out)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    struct stat st{};
+    const size_t size =
+        ::fstat(fd, &st) == 0 ? static_cast<size_t>(st.st_size) : 0;
+    out.resize(size);
+    size_t done = 0;
+    while (done < size) {
+        const ssize_t n = ::read(fd, out.data() + done, size - done);
+        if (n > 0)
+            done += static_cast<size_t>(n);
+        else if (n == 0 || errno != EINTR)
+            break;
+    }
+    ::close(fd);
+    out.resize(done);
+    return true;
+}
+
+/**
+ * Shared fetch. Reads the entry once and walks it in the order
+ * storeEntryIn writes it — schema, kind, key, vcrc, value — judging it
+ * by its first defect:
+ *   - another schema: removed silently (the writer will replace it);
+ *   - another kind or key: an FNV collision or a foreign file named
+ *     like our hash, warned about and kept. Checked before the
+ *     integrity gates, so a foreign entry is never removed as "ours
+ *     but damaged";
+ *   - any other departure from the written layout: corrupt, removed;
+ *   - value text whose FNV-1a differs from vcrc: torn (and corrupt),
+ *     removed. A payload truncated or bit-flipped by an interrupted
+ *     write can still decode; the checksum convicts it regardless.
+ * The verified value text, exactly the bytes the writer checksummed,
+ * then goes to `decode(std::string_view) -> bool`; text it cannot read
+ * is corrupt and removed. Every false return counts a miss.
+ */
+template <typename Decode>
 bool
 fetchEntryIn(const std::string &dir, const std::string &key,
-             const char *kind, obs::JsonValue &value,
-             std::string *rawValueOut = nullptr)
+             const char *kind, Decode &&decode)
 {
     auto &reg = obs::metrics();
-    std::string path = entryPathIn(dir, key);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::string path = entryPathIn(dir, key);
+    auto miss = [&] {
         reg.counter("cache.misses").add(1);
         return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    obs::JsonValue doc;
-    if (!obs::tryParseJson(ss.str(), doc) || !doc.isObject()) {
-        warn("result cache: corrupt entry %s; removing", path.c_str());
+    };
+    auto remove = [&] {
         std::error_code ec;
         fs::remove(path, ec);
+    };
+    auto corrupt = [&](const char *what) {
+        warn("result cache: %s %s; removing", what, path.c_str());
+        remove();
         reg.counter("cache.corrupt").add(1);
-        reg.counter("cache.misses").add(1);
-        return false;
+        return miss();
+    };
+
+    std::string text;
+    if (!readWholeFile(path, text))
+        return miss();
+    obs::JsonCursor cur{text};
+    std::string field, vcrc;
+    std::string_view value;
+    try {
+        expectLiteral(cur, "{\"schema\":");
+        if (cur.number() != kResultCacheSchemaVersion) {
+            remove(); // stale: silently discard; the writer replaces it
+            return miss();
+        }
+        expectLiteral(cur, ",\"kind\":");
+        cur.string(field);
+        const bool kindMatches = field == kind;
+        expectLiteral(cur, ",\"key\":");
+        cur.string(field);
+        if (!kindMatches || field != key) {
+            warn("result cache: key collision on %s; ignoring entry",
+                 path.c_str());
+            return miss();
+        }
+        expectLiteral(cur, ",\"vcrc\":");
+        cur.string(vcrc);
+        expectLiteral(cur, ",\"value\":");
+        // The value runs to the entry's closing brace, after which only
+        // whitespace (the writer's newline) may follow.
+        const size_t close = text.find_last_not_of(" \t\n\r");
+        if (close == std::string::npos || close < cur.pos ||
+            text[close] != '}')
+            cur.die("no closing brace after the value");
+        value = std::string_view(text).substr(cur.pos, close - cur.pos);
+    } catch (const obs::JsonError &) {
+        return corrupt("malformed entry");
     }
-    const obs::JsonValue *schema = doc.find("schema");
-    const obs::JsonValue *storedKey = doc.find("key");
-    const obs::JsonValue *storedKind = doc.find("kind");
-    const obs::JsonValue *vcrc = doc.find("vcrc");
-    const obs::JsonValue *val = doc.find("value");
-    if (!schema || !schema->isNumber()) {
-        warn("result cache: malformed entry %s; removing", path.c_str());
-        std::error_code ec;
-        fs::remove(path, ec);
-        reg.counter("cache.corrupt").add(1);
-        reg.counter("cache.misses").add(1);
-        return false;
-    }
-    if (static_cast<int>(schema->number) != kResultCacheSchemaVersion) {
-        // Stale schema: silently discard; the writer will replace it.
-        std::error_code ec;
-        fs::remove(path, ec);
-        reg.counter("cache.misses").add(1);
-        return false;
-    }
-    if (!storedKey || !storedKey->isString() || !storedKind ||
-        !storedKind->isString()) {
-        warn("result cache: malformed entry %s; removing", path.c_str());
-        std::error_code ec;
-        fs::remove(path, ec);
-        reg.counter("cache.corrupt").add(1);
-        reg.counter("cache.misses").add(1);
-        return false;
-    }
-    if (storedKind->str != kind || storedKey->str != key) {
-        // FNV collision (or foreign file named like our hash): do not
-        // trust, do not destroy. Checked before the integrity gates so
-        // a foreign entry is never removed as "ours but damaged".
-        warn("result cache: key collision on %s; ignoring entry",
-             path.c_str());
-        reg.counter("cache.misses").add(1);
-        return false;
-    }
-    if (!vcrc || !vcrc->isString() || !val) {
-        warn("result cache: malformed entry %s; removing", path.c_str());
-        std::error_code ec;
-        fs::remove(path, ec);
-        reg.counter("cache.corrupt").add(1);
-        reg.counter("cache.misses").add(1);
-        return false;
-    }
-    // Torn-write detection: checksum the *raw* value text against the
-    // stored vcrc. A payload truncated or bit-flipped by an interrupted
-    // write can still parse as JSON (e.g. an array cut at an element
-    // boundary on a line that later re-closes); the checksum convicts
-    // it regardless.
-    const std::string &text = ss.str();
-    const char marker[] = ",\"value\":";
-    size_t pos = text.rfind(marker);
-    size_t end = text.find_last_of('}');
-    if (pos == std::string::npos || end == std::string::npos ||
-        end <= pos) {
-        warn("result cache: unparseable value in %s; removing",
-             path.c_str());
-        std::error_code ec;
-        fs::remove(path, ec);
-        reg.counter("cache.corrupt").add(1);
-        reg.counter("cache.misses").add(1);
-        return false;
-    }
-    std::string rawValue =
-        text.substr(pos + sizeof marker - 1, end - pos - sizeof marker + 1);
-    if (hex16(fnv1a64(rawValue)) != vcrc->str) {
-        warn("result cache: torn entry %s (value checksum mismatch); "
-             "removing",
-             path.c_str());
-        std::error_code ec;
-        fs::remove(path, ec);
+    if (hex16(fnv1a64(value)) != vcrc) {
         reg.counter("cache.torn").add(1);
-        reg.counter("cache.corrupt").add(1);
-        reg.counter("cache.misses").add(1);
-        return false;
+        return corrupt("torn entry (value checksum mismatch)");
     }
-    value = *val;
-    if (rawValueOut)
-        *rawValueOut = std::move(rawValue);
+    if (!decode(value))
+        return corrupt("unreadable value in");
     reg.counter("cache.hits").add(1);
     return true;
 }
@@ -532,8 +622,10 @@ bool
 FileEntryStore::fetchText(const std::string &key, const char *kind,
                           std::string &valueOut)
 {
-    obs::JsonValue value;
-    return fetchEntryIn(dir_, key, kind, value, &valueOut);
+    return fetchEntryIn(dir_, key, kind, [&](std::string_view value) {
+        valueOut.assign(value);
+        return true;
+    });
 }
 
 void
@@ -546,20 +638,18 @@ FileEntryStore::storeText(const std::string &key, const char *kind,
 bool
 ResultCache::fetchPower(const std::string &key, double &out)
 {
-    if (!enabled_)
+    if (!enabled())
         return false;
-    obs::JsonValue value;
-    if (!fetchEntryIn(directory(), key, "power", value) ||
-        !value.isNumber())
-        return false;
-    out = value.number;
-    return true;
+    return fetchEntryIn(directory(), key, "power",
+                        [&](std::string_view value) {
+                            return numberFromText(value, out);
+                        });
 }
 
 void
 ResultCache::storePower(const std::string &key, double value)
 {
-    if (!enabled_)
+    if (!enabled())
         return;
     storeEntryIn(directory(), key, "power", num(value));
 }
@@ -567,28 +657,18 @@ ResultCache::storePower(const std::string &key, double value)
 bool
 ResultCache::fetchActivity(const std::string &key, KernelActivity &out)
 {
-    if (!enabled_)
+    if (!enabled())
         return false;
-    obs::JsonValue value;
-    if (!fetchEntryIn(directory(), key, "activity", value))
-        return false;
-    KernelActivity parsed;
-    if (!activityFromJson(value, parsed)) {
-        warn("result cache: unreadable activity entry for key hash %s",
-             hex16(fnv1a64(key)).c_str());
-        std::error_code ec;
-        fs::remove(pathFor(key), ec);
-        obs::metrics().counter("cache.corrupt").add(1);
-        return false;
-    }
-    out = std::move(parsed);
-    return true;
+    return fetchEntryIn(directory(), key, "activity",
+                        [&](std::string_view value) {
+                            return activityFromJson(value, out);
+                        });
 }
 
 void
 ResultCache::storeActivity(const std::string &key, const KernelActivity &act)
 {
-    if (!enabled_)
+    if (!enabled())
         return;
     storeEntryIn(directory(), key, "activity", activityToJson(act));
 }

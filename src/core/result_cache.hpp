@@ -34,6 +34,18 @@
  * A corrupt file is warned about, removed, and treated as a miss.
  * `AW_CACHE=off` disables the cache entirely.
  *
+ * Reads build no JSON tree. A fetch reads the file with one open, an
+ * fstat and one read, and walks the envelope in the order a store
+ * writes it: schema, kind, key, vcrc, value. It judges the entry by its first
+ * defect — another schema is removed silently, another kind or key is a
+ * collision (warned about, kept), any other departure from the written
+ * layout is corrupt (removed) — then checks vcrc on the raw value text
+ * and decodes that text in place: a power is one number that must fill
+ * it, an activity goes through the text activityFromJson. Numbers are
+ * parsed with std::from_chars, which rounds correctly as strtod does;
+ * that is safe because only this program's jsonNumber wrote them, and
+ * the checksum has already vouched for the bytes.
+ *
  * Fault injection: with a `cache_corrupt` rate configured (AW_FAULTS),
  * stores deterministically tear a fraction of entries after the
  * publish, exercising exactly that recovery path. Fault-injected runs
@@ -53,8 +65,10 @@
  */
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "arch/activity.hpp"
 #include "arch/gpu_config.hpp"
@@ -71,15 +85,24 @@ namespace aw {
 constexpr int kResultCacheSchemaVersion = 2;
 
 /** FNV-1a 64-bit hash of a byte string (the cache's content address). */
-uint64_t fnv1a64(const std::string &s);
+uint64_t fnv1a64(std::string_view s);
 
 /**
  * KernelActivity <-> JSON, the cache entry payload format. Exposed
  * because the awd service protocol reuses it verbatim as the
  * activity-blob encoding (a client posts a trace, the daemon evaluates
  * the power model on it). Doubles are jsonNumber round-trippable.
+ *
+ * Two decoders, both here with the format. The text one reads exactly
+ * what activityToJson writes — members in written order, 22 accesses
+ * and 8 unit counts per sample, no whitespace, nothing after the value
+ * — straight into `out`, numbers via std::from_chars; it returns false,
+ * leaving `out` untouched, on anything else. The cache reads entries
+ * with it. The tree one serves the awd wire, whose requests arrive
+ * already parsed; it accepts members in any order.
  */
 std::string activityToJson(const KernelActivity &a);
+bool activityFromJson(std::string_view text, KernelActivity &out);
 bool activityFromJson(const obs::JsonValue &v, KernelActivity &out);
 
 /** Canonical one-line key fragments; every field that can change a
@@ -95,13 +118,16 @@ class ResultCache
   public:
     static ResultCache &instance();
 
-    bool enabled() const { return enabled_; }
+    bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
     const std::string &directory() const { return dir_; }
 
     /** Redirect the cache (benches/tests). Does not create the
      *  directory until the first store. */
     void configure(std::string directory);
-    void setEnabled(bool on) { enabled_ = on; }
+
+    /** Switch the cache on or off. Safe while other threads fetch and
+     *  store: each call sees the old setting or the new one. */
+    void setEnabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
     /** Fetch a scalar result; false on miss (disabled, absent, corrupt,
      *  schema mismatch, or hash collision). */
@@ -117,7 +143,7 @@ class ResultCache
   private:
     ResultCache();
 
-    bool enabled_ = true;
+    std::atomic<bool> enabled_{true};
     std::string dir_;
 };
 

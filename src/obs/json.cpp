@@ -4,127 +4,153 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/log.hpp"
 
 namespace aw::obs {
 
+void
+JsonCursor::die(const char *what) const
+{
+    throw JsonError{pos, what};
+}
+
+void
+JsonCursor::skipWs()
+{
+    while (pos < text.size() &&
+           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
+            text[pos] == '\r'))
+        ++pos;
+}
+
+char
+JsonCursor::peek() const
+{
+    if (pos >= text.size())
+        die("unexpected end of input");
+    return text[pos];
+}
+
+void
+JsonCursor::expect(char c)
+{
+    if (peek() != c)
+        die("unexpected character");
+    ++pos;
+}
+
+bool
+JsonCursor::consume(char c)
+{
+    if (pos >= text.size() || text[pos] != c)
+        return false;
+    ++pos;
+    return true;
+}
+
+bool
+JsonCursor::consumeLiteral(std::string_view lit)
+{
+    if (text.compare(pos, lit.size(), lit) != 0)
+        return false;
+    pos += lit.size();
+    return true;
+}
+
+void
+JsonCursor::string(std::string &out)
+{
+    expect('"');
+    out.clear();
+    while (true) {
+        // Copy the run up to the next quote or escape in one append.
+        const size_t stop = text.find_first_of("\"\\", pos);
+        if (stop == std::string_view::npos) {
+            pos = text.size();
+            die("unterminated string");
+        }
+        out.append(text, pos, stop - pos);
+        pos = stop + 1;
+        if (text[stop] == '"')
+            return;
+        if (pos >= text.size())
+            die("unterminated escape");
+        char e = text[pos++];
+        switch (e) {
+          case '"': out.push_back('"'); break;
+          case '\\': out.push_back('\\'); break;
+          case '/': out.push_back('/'); break;
+          case 'b': out.push_back('\b'); break;
+          case 'f': out.push_back('\f'); break;
+          case 'n': out.push_back('\n'); break;
+          case 'r': out.push_back('\r'); break;
+          case 't': out.push_back('\t'); break;
+          case 'u': {
+            if (pos + 4 > text.size())
+                die("truncated \\u escape");
+            unsigned cp = 0;
+            for (int i = 0; i < 4; ++i) {
+                char h = text[pos++];
+                cp <<= 4;
+                if (h >= '0' && h <= '9')
+                    cp |= static_cast<unsigned>(h - '0');
+                else if (h >= 'a' && h <= 'f')
+                    cp |= static_cast<unsigned>(h - 'a' + 10);
+                else if (h >= 'A' && h <= 'F')
+                    cp |= static_cast<unsigned>(h - 'A' + 10);
+                else
+                    die("bad hex digit in \\u escape");
+            }
+            // Encode the BMP codepoint as UTF-8 (the sinks only emit
+            // ASCII; this keeps foreign documents readable).
+            if (cp < 0x80) {
+                out.push_back(static_cast<char>(cp));
+            } else if (cp < 0x800) {
+                out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+                out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+            } else {
+                out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+                out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+                out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+            }
+            break;
+          }
+          default:
+            die("unknown escape character");
+        }
+    }
+}
+
+double
+JsonCursor::number()
+{
+    const char *first = text.data() + pos;
+    const char *last = text.data() + text.size();
+    // from_chars alone would also take "inf", "nan" and "-inf".
+    const char *digit = first < last && *first == '-' ? first + 1 : first;
+    if (digit == last || *digit < '0' || *digit > '9')
+        die("expected a number");
+    double v = 0;
+    const auto [end, ec] = std::from_chars(first, last, v);
+    if (ec != std::errc())
+        die("number out of range");
+    pos += static_cast<size_t>(end - first);
+    return v;
+}
+
 namespace {
 
-/** Internal error signal for the tolerant tryParseJson entry point. */
-struct ParseError
+/** Recursive-descent tree parser over a JsonCursor. Errors throw
+ *  JsonError; parseJson turns that into a fatal(), tryParseJson into a
+ *  false return. */
+struct Parser : JsonCursor
 {
-    size_t pos;
-    const char *what;
-};
-
-/** Cursor over the document. Errors throw ParseError; parseJson turns
- *  that into a fatal(), tryParseJson into a false return. The document
- *  is a string_view so callers can parse borrowed bytes (e.g. a frame
- *  decoded in place inside a session buffer) without a copy. */
-struct Parser
-{
-    std::string_view text;
-    size_t pos = 0;
-
-    [[noreturn]] void die(const char *what) const
-    {
-        throw ParseError{pos, what};
-    }
-
-    void skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    char peek()
-    {
-        if (pos >= text.size())
-            die("unexpected end of input");
-        return text[pos];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c)
-            die("unexpected character");
-        ++pos;
-    }
-
-    bool consumeLiteral(const char *lit)
-    {
-        size_t n = std::strlen(lit);
-        if (text.compare(pos, n, lit) != 0)
-            return false;
-        pos += n;
-        return true;
-    }
-
     std::string parseString()
     {
-        expect('"');
         std::string out;
-        while (true) {
-            if (pos >= text.size())
-                die("unterminated string");
-            char c = text[pos++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos >= text.size())
-                die("unterminated escape");
-            char e = text[pos++];
-            switch (e) {
-              case '"': out.push_back('"'); break;
-              case '\\': out.push_back('\\'); break;
-              case '/': out.push_back('/'); break;
-              case 'b': out.push_back('\b'); break;
-              case 'f': out.push_back('\f'); break;
-              case 'n': out.push_back('\n'); break;
-              case 'r': out.push_back('\r'); break;
-              case 't': out.push_back('\t'); break;
-              case 'u': {
-                if (pos + 4 > text.size())
-                    die("truncated \\u escape");
-                unsigned cp = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = text[pos++];
-                    cp <<= 4;
-                    if (h >= '0' && h <= '9')
-                        cp |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        cp |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        cp |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        die("bad hex digit in \\u escape");
-                }
-                // Encode the BMP codepoint as UTF-8 (the sinks only
-                // emit ASCII; this keeps foreign documents readable).
-                if (cp < 0x80) {
-                    out.push_back(static_cast<char>(cp));
-                } else if (cp < 0x800) {
-                    out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-                    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-                } else {
-                    out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-                    out.push_back(
-                        static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-                    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-                }
-                break;
-              }
-              default:
-                die("unknown escape character");
-            }
-        }
+        string(out);
+        return out;
     }
 
     JsonValue parseValue(int depth)
@@ -268,7 +294,7 @@ parseJson(const std::string &text)
         if (p.pos != text.size())
             p.die("trailing garbage after document");
         return v;
-    } catch (const ParseError &e) {
+    } catch (const JsonError &e) {
         fatal("JSON parse error at offset %zu: %s", e.pos, e.what);
     }
 }
@@ -283,7 +309,7 @@ tryParseJson(std::string_view text, JsonValue &out)
         if (p.pos != text.size())
             p.die("trailing garbage after document");
         return true;
-    } catch (const ParseError &) {
+    } catch (const JsonError &) {
         return false;
     }
 }

@@ -18,15 +18,22 @@ Matrix::identity(size_t n)
 std::vector<double>
 Matrix::mul(const std::vector<double> &v) const
 {
+    std::vector<double> out;
+    mulInto(v, out);
+    return out;
+}
+
+void
+Matrix::mulInto(const std::vector<double> &v, std::vector<double> &out) const
+{
     AW_ASSERT(v.size() == cols_);
-    std::vector<double> out(rows_, 0.0);
+    out.resize(rows_);
     for (size_t r = 0; r < rows_; ++r) {
         double sum = 0;
         for (size_t c = 0; c < cols_; ++c)
             sum += (*this)(r, c) * v[c];
         out[r] = sum;
     }
-    return out;
 }
 
 std::vector<double>

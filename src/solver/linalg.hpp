@@ -40,6 +40,9 @@ class Matrix
     /** Matrix-vector product; v must have cols() entries. */
     std::vector<double> mul(const std::vector<double> &v) const;
 
+    /** mul(v) into `out`, reusing its storage (resized to rows()). */
+    void mulInto(const std::vector<double> &v, std::vector<double> &out) const;
+
     /** Transposed-matrix-vector product; v must have rows() entries. */
     std::vector<double> mulTransposed(const std::vector<double> &v) const;
 

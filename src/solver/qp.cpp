@@ -1,5 +1,6 @@
 #include "solver/qp.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/log.hpp"
@@ -58,87 +59,171 @@ QpProblem::addBox(double lo, double hi)
 namespace {
 
 /**
+ * G's nonzeros, listed once per solve in column order. A product over
+ * a row skips only exact-zero entries, whose products are ±0 addends
+ * that leave a sum starting at +0 unchanged, and keeps the nonzero
+ * terms in the dense order: every result is bit-identical to the dense
+ * product while the operands stay finite. The tuner's G has one
+ * nonzero in each box row and two in each ordering row.
+ */
+struct SparseRows
+{
+    std::vector<size_t> start; ///< row r's entries: [start[r], start[r+1])
+    std::vector<size_t> col;
+    std::vector<double> val;
+
+    explicit SparseRows(const Matrix &g)
+    {
+        start.reserve(g.rows() + 1);
+        start.push_back(0);
+        for (size_t r = 0; r < g.rows(); ++r) {
+            for (size_t c = 0; c < g.cols(); ++c)
+                if (g(r, c) != 0) {
+                    col.push_back(c);
+                    val.push_back(g(r, c));
+                }
+            start.push_back(col.size());
+        }
+    }
+
+    size_t rows() const { return start.size() - 1; }
+
+    /** out = G v. */
+    void mul(const std::vector<double> &v, std::vector<double> &out) const
+    {
+        out.resize(rows());
+        for (size_t r = 0; r < rows(); ++r) {
+            double sum = 0;
+            for (size_t k = start[r]; k < start[r + 1]; ++k)
+                sum += val[k] * v[col[k]];
+            out[r] = sum;
+        }
+    }
+
+    /** out = G^T d, each column summed over rows in order. */
+    void mulTransposed(const std::vector<double> &d,
+                       std::vector<double> &out) const
+    {
+        std::fill(out.begin(), out.end(), 0.0);
+        for (size_t r = 0; r < rows(); ++r)
+            for (size_t k = start[r]; k < start[r + 1]; ++k)
+                out[col[k]] += val[k] * d[r];
+    }
+};
+
+/** The buffers every Newton iteration of one solve reuses. */
+struct Workspace
+{
+    SparseRows g;
+    std::vector<double> gx, d, grad, gtd, negGrad, dx, qx;
+    std::vector<double> cand, candGx, candQx; ///< line-search trial
+    Matrix hess;
+
+    explicit Workspace(const QpProblem &p)
+        : g(p.g), d(p.numConstraints()), grad(p.numVars()),
+          gtd(p.numVars()), negGrad(p.numVars()), cand(p.numVars()),
+          hess(p.numVars(), p.numVars())
+    {}
+};
+
+/**
+ * The barrier objective t f(x) - sum log(h - G x) at a point whose
+ * Q x and G x are known; 1e300 outside the strictly feasible region.
+ */
+double
+barrierAt(const QpProblem &p, double t, const std::vector<double> &x,
+          const std::vector<double> &qx, const std::vector<double> &gx)
+{
+    double val = t * (0.5 * dot(x, qx) + dot(p.c, x));
+    for (size_t i = 0; i < gx.size(); ++i) {
+        double slack = p.h[i] - gx[i];
+        if (slack <= 0)
+            return 1e300;
+        val -= std::log(slack);
+    }
+    return val;
+}
+
+/**
  * One centering step: minimize t * f(x) + phi(x) with Newton iterations.
- * Returns the number of Newton iterations used.
+ * Returns the number of Newton iterations used. An accepted line-search
+ * trial hands its Q x, G x and barrier value to the next iteration, which
+ * would compute the same numbers at the same point and t.
  */
 int
 center(const QpProblem &p, double t, std::vector<double> &x,
-       const QpOptions &opts)
+       const QpOptions &opts, Workspace &ws)
 {
     const size_t n = p.numVars();
     const size_t m = p.numConstraints();
     int iters = 0;
 
+    p.q.mulInto(x, ws.qx);
+    ws.g.mul(x, ws.gx);
+    bool haveF0 = false;
+    double f0 = 0;
+
     for (; iters < opts.maxNewtonIters; ++iters) {
         // Slack d_i = 1 / (h_i - g_i x) for each constraint.
-        auto gx = m ? p.g.mul(x) : std::vector<double>{};
-        std::vector<double> d(m);
         for (size_t i = 0; i < m; ++i) {
-            double slack = p.h[i] - gx[i];
+            double slack = p.h[i] - ws.gx[i];
             AW_ASSERT(slack > 0);
-            d[i] = 1.0 / slack;
+            ws.d[i] = 1.0 / slack;
         }
 
         // Gradient: t (Q x + c) + G^T d.
-        auto grad = p.q.mul(x);
         for (size_t i = 0; i < n; ++i)
-            grad[i] = t * (grad[i] + p.c[i]);
+            ws.grad[i] = t * (ws.qx[i] + p.c[i]);
         if (m) {
-            auto gtd = p.g.mulTransposed(d);
+            ws.g.mulTransposed(ws.d, ws.gtd);
             for (size_t i = 0; i < n; ++i)
-                grad[i] += gtd[i];
+                ws.grad[i] += ws.gtd[i];
         }
 
-        // Hessian: t Q + G^T diag(d^2) G.
-        Matrix hess(n, n);
+        // Hessian: t Q + G^T diag(d^2) G, one row's nonzero pairs at a
+        // time.
         for (size_t i = 0; i < n; ++i)
             for (size_t j = 0; j < n; ++j)
-                hess(i, j) = t * p.q(i, j);
+                ws.hess(i, j) = t * p.q(i, j);
         for (size_t k = 0; k < m; ++k) {
-            double w = d[k] * d[k];
-            for (size_t i = 0; i < n; ++i) {
-                double gki = p.g(k, i);
-                if (gki == 0)
-                    continue;
-                for (size_t j = 0; j < n; ++j)
-                    hess(i, j) += w * gki * p.g(k, j);
+            double w = ws.d[k] * ws.d[k];
+            for (size_t a = ws.g.start[k]; a < ws.g.start[k + 1]; ++a) {
+                const size_t i = ws.g.col[a];
+                const double gki = ws.g.val[a];
+                for (size_t b = ws.g.start[k]; b < ws.g.start[k + 1]; ++b)
+                    ws.hess(i, ws.g.col[b]) += w * gki * ws.g.val[b];
             }
         }
 
         // Newton direction: solve H dx = -grad.
-        std::vector<double> negGrad(n);
         for (size_t i = 0; i < n; ++i)
-            negGrad[i] = -grad[i];
-        auto dx = choleskySolve(hess, negGrad);
+            ws.negGrad[i] = -ws.grad[i];
+        ws.dx = choleskySolve(ws.hess, ws.negGrad);
 
         // Newton decrement for the stopping test.
-        double lambda2 = -dot(grad, dx);
+        double lambda2 = -dot(ws.grad, ws.dx);
         if (lambda2 / 2.0 < 1e-12)
             break;
 
         // Backtracking line search keeping strict feasibility.
-        auto barrier = [&](const std::vector<double> &pt) {
-            double val = t * p.objective(pt);
-            if (m) {
-                auto gpt = p.g.mul(pt);
-                for (size_t i = 0; i < m; ++i) {
-                    double slack = p.h[i] - gpt[i];
-                    if (slack <= 0)
-                        return 1e300;
-                    val -= std::log(slack);
-                }
-            }
-            return val;
-        };
-        double f0 = barrier(x);
+        if (!haveF0) {
+            f0 = barrierAt(p, t, x, ws.qx, ws.gx);
+            haveF0 = true;
+        }
         double step = 1.0;
         const double alpha = 0.25, betaLs = 0.5;
         bool moved = false;
         for (int ls = 0; ls < 60; ++ls) {
-            auto cand = axpy(x, step, dx);
-            double f1 = barrier(cand);
+            for (size_t i = 0; i < n; ++i)
+                ws.cand[i] = x[i] + step * ws.dx[i];
+            p.q.mulInto(ws.cand, ws.candQx);
+            ws.g.mul(ws.cand, ws.candGx);
+            double f1 = barrierAt(p, t, ws.cand, ws.candQx, ws.candGx);
             if (f1 <= f0 - alpha * step * lambda2) {
-                x = std::move(cand);
+                x.swap(ws.cand);
+                ws.qx.swap(ws.candQx);
+                ws.gx.swap(ws.candGx);
+                f0 = f1;
                 moved = true;
                 break;
             }
@@ -179,10 +264,11 @@ solveQp(const QpProblem &problem, std::vector<double> x0,
     QpResult result;
     result.x = std::move(x0);
 
+    Workspace ws(problem);
     const double m = static_cast<double>(problem.numConstraints());
     if (m == 0) {
         // Unconstrained QP: a single Newton step is exact.
-        result.newtonIters = center(problem, 1.0, result.x, opts);
+        result.newtonIters = center(problem, 1.0, result.x, opts, ws);
         result.converged = true;
         result.objective = problem.objective(result.x);
         recordSolve(result);
@@ -191,7 +277,7 @@ solveQp(const QpProblem &problem, std::vector<double> x0,
 
     double t = opts.tInitial;
     for (int outer = 0; outer < opts.maxOuterIters; ++outer) {
-        result.newtonIters += center(problem, t, result.x, opts);
+        result.newtonIters += center(problem, t, result.x, opts, ws);
         if (m / t < opts.tolerance) {
             result.converged = true;
             break;

@@ -9,16 +9,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "core/result_cache.hpp"
 #include "hw/silicon_model.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "trace/workload.hpp"
 
@@ -107,6 +112,114 @@ readBytes(const fs::path &path)
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+void
+writeBytes(const fs::path &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+/**
+ * Write each damaged variant of a stored entry over it, and expect the
+ * fetch to miss, count one cache.corrupt and remove the file. `fetch`
+ * returns whether it hit; a hit must also return the stored bits, which
+ * the caller checks. Warnings are silenced: each case prints one.
+ */
+void
+expectEveryDamageConvicted(const fs::path &path,
+                           const std::vector<std::string> &damaged,
+                           const std::function<bool()> &fetch)
+{
+    obs::Counter &corrupt = obs::metrics().counter("cache.corrupt");
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Fatal);
+    size_t bad = 0;
+    std::string firstBad;
+    for (const std::string &bytes : damaged) {
+        writeBytes(path, bytes);
+        const double before = corrupt.value();
+        const bool hit = fetch();
+        if (hit || corrupt.value() != before + 1 || fs::exists(path)) {
+            if (bad++ == 0)
+                firstBad = bytes;
+        }
+    }
+    setLogLevel(level);
+    EXPECT_EQ(bad, 0u) << "first undetected damage: " << firstBad;
+}
+
+/** Every prefix of `entry` short of the entry minus its final newline. */
+std::vector<std::string>
+everyCut(const std::string &entry)
+{
+    std::vector<std::string> out;
+    for (size_t n = 0; n + 1 < entry.size(); ++n)
+        out.push_back(entry.substr(0, n));
+    return out;
+}
+
+/** `entry` with each byte of its value changed, two ways per byte: a
+ *  low-bit flip (digit to digit, ',' to '-', 'e' to 'd') and a flip of
+ *  0x10 (digits to punctuation such as '"' and ' '). */
+std::vector<std::string>
+everyValueByteChanged(const std::string &entry)
+{
+    const std::string marker = ",\"value\":";
+    const size_t begin = entry.find(marker) + marker.size();
+    const size_t end = entry.size() - 2; // before the closing "}\n"
+    std::vector<std::string> out;
+    for (size_t i = begin; i < end; ++i)
+        for (char mask : {'\x01', '\x10'}) {
+            std::string bytes = entry;
+            bytes[i] = static_cast<char>(bytes[i] ^ mask);
+            out.push_back(std::move(bytes));
+        }
+    return out;
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/** True when every field of `a` and `b` holds the same bits. */
+bool
+sameBits(const KernelActivity &a, const KernelActivity &b)
+{
+    return a.kernelName == b.kernelName &&
+           bitsOf(a.totalCycles) == bitsOf(b.totalCycles) &&
+           bitsOf(a.elapsedSec) == bitsOf(b.elapsedSec) &&
+           a.samples.size() == b.samples.size() &&
+           std::memcmp(a.samples.data(), b.samples.data(),
+                       a.samples.size() * sizeof(ActivitySample)) == 0;
+}
+
+/** Samples at the edges of what a double holds. */
+KernelActivity
+edgeActivity()
+{
+    KernelActivity a = sampleActivity();
+    a.kernelName = "edge \"quoted\"\tname";
+    a.totalCycles = 9007199254740993.0 * 64; // above 2^53
+    a.elapsedSec = DBL_TRUE_MIN;             // smallest subnormal
+    ActivitySample &s = a.samples[0];
+    s.cycles = 0.0;
+    s.freqGhz = -0.0;
+    s.voltage = DBL_MAX;
+    s.accesses[0] = -DBL_MAX;
+    s.accesses[1] = DBL_MIN / 3; // a subnormal
+    s.accesses[2] = -DBL_TRUE_MIN;
+    s.accesses[3] = 18446744073709551615.0; // 2^64
+    s.accesses[4] = 9007199254740993.0;     // 2^53 + 1 (rounds to 2^53)
+    s.accesses[5] = 1e300;
+    s.unitInsts[0] = -0.0;
+    s.intAddInsts = 123456789012345678.0;
+    return a;
 }
 
 } // namespace
@@ -241,6 +354,167 @@ TEST_F(ResultCacheTest, ActivityEntryBytesAreGolden)
         ",\"unitInsts\":[17,8.5,5.666666666666667,4.25,3.4"
         ",2.8333333333333335,2.4285714285714284,2.125]"
         ",\"intAddInsts\":333333333.33333331,\"intMulInsts\":7}]}}\n");
+}
+
+TEST_F(ResultCacheTest, EveryCutOfAPowerEntryIsCorrupt)
+{
+    auto &cache = ResultCache::instance();
+    const std::string key = "golden-key";
+    const double stored = 0.1 + 0.2;
+    cache.storePower(key, stored);
+    const std::string entry = readBytes(cache.pathFor(key));
+    expectEveryDamageConvicted(cache.pathFor(key), everyCut(entry), [&] {
+        double out = 0;
+        const bool hit = cache.fetchPower(key, out);
+        if (hit) {
+            EXPECT_EQ(bitsOf(out), bitsOf(stored));
+        }
+        return hit;
+    });
+}
+
+TEST_F(ResultCacheTest, EveryChangedValueByteOfAPowerEntryIsCorrupt)
+{
+    auto &cache = ResultCache::instance();
+    const std::string key = "golden-key";
+    const double stored = 0.1 + 0.2;
+    cache.storePower(key, stored);
+    const std::string entry = readBytes(cache.pathFor(key));
+    expectEveryDamageConvicted(
+        cache.pathFor(key), everyValueByteChanged(entry), [&] {
+            double out = 0;
+            const bool hit = cache.fetchPower(key, out);
+            if (hit) {
+                EXPECT_EQ(bitsOf(out), bitsOf(stored));
+            }
+            return hit;
+        });
+}
+
+TEST_F(ResultCacheTest, EveryCutOfAnActivityEntryIsCorrupt)
+{
+    auto &cache = ResultCache::instance();
+    const std::string key = "golden-activity-key";
+    const KernelActivity stored = sampleActivity();
+    cache.storeActivity(key, stored);
+    const std::string entry = readBytes(cache.pathFor(key));
+    expectEveryDamageConvicted(cache.pathFor(key), everyCut(entry), [&] {
+        KernelActivity out;
+        const bool hit = cache.fetchActivity(key, out);
+        if (hit) {
+            EXPECT_TRUE(sameBits(out, stored));
+        }
+        return hit;
+    });
+}
+
+TEST_F(ResultCacheTest, EveryChangedValueByteOfAnActivityEntryIsCorrupt)
+{
+    auto &cache = ResultCache::instance();
+    const std::string key = "golden-activity-key";
+    const KernelActivity stored = sampleActivity();
+    cache.storeActivity(key, stored);
+    const std::string entry = readBytes(cache.pathFor(key));
+    expectEveryDamageConvicted(
+        cache.pathFor(key), everyValueByteChanged(entry), [&] {
+            KernelActivity out;
+            const bool hit = cache.fetchActivity(key, out);
+            if (hit) {
+                EXPECT_TRUE(sameBits(out, stored));
+            }
+            return hit;
+        });
+}
+
+TEST(ActivityCodec, TextAndTreeDecodersAgreeBitForBit)
+{
+    GpuSimulator sim(voltaGV100());
+    const std::vector<KernelActivity> inputs = {
+        sampleActivity(), sim.runSass(cheapKernel("decoder_agreement")),
+        edgeActivity()};
+    for (const KernelActivity &a : inputs) {
+        const std::string text = activityToJson(a);
+        KernelActivity fromText, fromTree;
+        ASSERT_TRUE(activityFromJson(std::string_view(text), fromText))
+            << a.kernelName;
+        obs::JsonValue tree;
+        ASSERT_TRUE(obs::tryParseJson(text, tree)) << a.kernelName;
+        ASSERT_TRUE(activityFromJson(tree, fromTree)) << a.kernelName;
+        EXPECT_TRUE(sameBits(fromText, fromTree)) << a.kernelName;
+        EXPECT_TRUE(sameBits(fromText, a)) << a.kernelName;
+    }
+}
+
+TEST(ActivityCodec, TextDecoderRejectsAnythingActivityToJsonDoesNotWrite)
+{
+    const std::string text = activityToJson(sampleActivity());
+    auto replaced = [&](const std::string &from, const std::string &to) {
+        const size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        std::string out = text;
+        out.replace(at, from.size(), to);
+        return out;
+    };
+    const std::string totalCycles = ",\"totalCycles\":123456.75";
+    const std::string elapsedSec = ",\"elapsedSec\":8.7654321e-05";
+    const std::vector<std::pair<const char *, std::string>> cases = {
+        {"reordered members",
+         replaced(totalCycles + elapsedSec, elapsedSec + totalCycles)},
+        {"missing member", replaced(",\"voltage\":1.0012345678901233", "")},
+        {"short accesses array", replaced(",2.1],\"avgActiveSms\"",
+                                          "],\"avgActiveSms\"")},
+        {"long unitInsts array", replaced(",2.125],\"intAddInsts\"",
+                                          ",2.125,1],\"intAddInsts\"")},
+        {"trailing newline", text + "\n"},
+        {"trailing bytes", text + "{}"},
+        {"whitespace", replaced(",\"samples\":[", ", \"samples\":[")},
+        {"a string for a number",
+         replaced("\"totalCycles\":123456.75", "\"totalCycles\":\"1\"")},
+        {"nan", replaced("\"totalCycles\":123456.75", "\"totalCycles\":nan")},
+        {"-inf",
+         replaced("\"totalCycles\":123456.75", "\"totalCycles\":-inf")},
+    };
+    for (const auto &[what, bytes] : cases) {
+        KernelActivity out = sampleActivity();
+        out.kernelName = "untouched";
+        EXPECT_FALSE(activityFromJson(std::string_view(bytes), out)) << what;
+        EXPECT_EQ(out.kernelName, "untouched") << what;
+    }
+    // The tree decoder, which the wire uses, takes members in any order.
+    obs::JsonValue tree;
+    KernelActivity out;
+    ASSERT_TRUE(obs::tryParseJson(cases[0].second, tree));
+    EXPECT_TRUE(activityFromJson(tree, out));
+}
+
+TEST_F(ResultCacheTest, EnabledFlipsWhilePoolThreadsFetchAndStore)
+{
+    // The switch is read by every fetch and store; a bench flips it
+    // while awd workers run. Under TSan this must report no race.
+    auto &cache = ResultCache::instance();
+    std::atomic<bool> stop{false};
+    std::thread flipper([&] {
+        bool on = false;
+        while (!stop.load()) {
+            cache.setEnabled(on);
+            on = !on;
+        }
+    });
+    setParallelThreadCount(4);
+    parallelFor(200, [&](size_t i) {
+        const std::string key = "flip-key-" + std::to_string(i % 8);
+        const double value = 0.5 * static_cast<double>(i % 8);
+        cache.storePower(key, value);
+        double out = -1;
+        if (cache.fetchPower(key, out)) {
+            EXPECT_EQ(out, value);
+        }
+    });
+    setParallelThreadCount(0);
+    stop.store(true);
+    flipper.join();
+    cache.setEnabled(true);
+    EXPECT_TRUE(cache.enabled());
 }
 
 TEST_F(ResultCacheTest, CorruptEntryIsRemovedAndTreatedAsMiss)

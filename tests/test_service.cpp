@@ -61,6 +61,17 @@ testKernel(const std::string &name, int iterations = 4)
     return k;
 }
 
+/** Kernel names unique to this process run: deadline, coalescing and
+ *  shared-memo tests must never be satisfied by a memo or on-disk
+ *  cache entry left over from an earlier run. */
+std::string
+runUnique(const std::string &stem)
+{
+    static const std::string tag = std::to_string(
+        std::chrono::steady_clock::now().time_since_epoch().count());
+    return stem + "_" + tag;
+}
+
 service::EstimateRequest
 estimateOf(const KernelDescriptor &k)
 {
@@ -301,8 +312,8 @@ TEST_F(ServiceE2E, ImpossibleDeadlineIsAStructuredDeadlineFailure)
 {
     // Unique heavy kernel: never memoized, never in the result cache,
     // so the 1 ms deadline always expires before the answer exists.
-    service::EstimateRequest req =
-        estimateOf(testKernel("svc_e2e_deadline", /*iterations=*/64));
+    service::EstimateRequest req = estimateOf(
+        testKernel(runUnique("svc_e2e_deadline"), /*iterations=*/64));
     req.deadlineMs = 1;
     service::AwdClient c(quickClientOptions(server_->port()));
     Result<service::EstimateResponse> r = c.estimate(req);
@@ -811,17 +822,6 @@ parsedResponse(const std::string &payload)
     std::string perr;
     EXPECT_TRUE(service::parseResponse(v, resp, perr)) << perr;
     return resp;
-}
-
-/** Kernel names unique to this process run: coalescing and shared-memo
- *  tests must never be satisfied by a memo or on-disk cache entry left
- *  over from an earlier run. */
-std::string
-runUnique(const std::string &stem)
-{
-    static const std::string tag = std::to_string(
-        std::chrono::steady_clock::now().time_since_epoch().count());
-    return stem + "_" + tag;
 }
 
 } // namespace
