@@ -8,6 +8,7 @@
  * accounting live and writes `results/BENCH_sim_phases.json`, the
  * wall-time breakdown the ROADMAP-1 parallelization work starts from.
  */
+#include <ctime>
 #include <memory>
 
 #include "core/calibration.hpp"
@@ -146,9 +147,18 @@ struct SimState
 {
     std::unique_ptr<GpuSimulator> sim;
     KernelDescriptor kernel;
-    double cycles = 0;
+    double cycles = 0; ///< simulated over the timed rounds
+    double cpuSec = 0; ///< bench-thread CPU over the timed rounds
 };
 SimState g_sim;
+
+double
+threadCpuSec()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
+}
 
 void
 simInit(perflab::BenchContext &, KernelDescriptor k)
@@ -156,12 +166,20 @@ simInit(perflab::BenchContext &, KernelDescriptor k)
     g_sim.sim = std::make_unique<GpuSimulator>(voltaGV100());
     g_sim.kernel = std::move(k);
     g_sim.cycles = 0;
+    g_sim.cpuSec = 0;
 }
 
 void
-simRound(perflab::BenchContext &)
+simRound(perflab::BenchContext &ctx)
 {
-    g_sim.cycles += g_sim.sim->runSass(g_sim.kernel).totalCycles;
+    // Detail 1 simulates on the calling thread, so its CPU clock is the
+    // simulator's: unlike wall time, it does not count preemption.
+    const double cpu0 = threadCpuSec();
+    const double cycles = g_sim.sim->runSass(g_sim.kernel).totalCycles;
+    if (ctx.round() < 0)
+        return; // warmup
+    g_sim.cpuSec += threadCpuSec() - cpu0;
+    g_sim.cycles += cycles;
 }
 
 void
@@ -170,6 +188,8 @@ simFini(perflab::BenchContext &ctx)
     double sec = ctx.stats().sum();
     ctx.setExtra("sim_cycles_total", g_sim.cycles);
     ctx.setExtra("sim_cycles_per_sec", sec > 0 ? g_sim.cycles / sec : 0);
+    ctx.setExtra("sim_cycles_per_cpu_sec",
+                 g_sim.cpuSec > 0 ? g_sim.cycles / g_sim.cpuSec : 0);
     g_sim.sim.reset();
 }
 

@@ -40,7 +40,9 @@ simDetailFromEnvironment()
 }
 
 /** Per-kernel flush of the SM counters into the registry (static
- *  references: one name lookup per process, then lock-free). */
+ *  references: one name lookup per process, then lock-free).
+ *  `sim.sm.issue_cycles` and `sim.sm.issue_stalls` count SmCore steps
+ *  with and without an issue (see SimRunStats), not simulated cycles. */
 void
 flushSimMetrics(double cycles, size_t sampleCount, int waves,
                 long issued, long issueCycles, long stallCycles)

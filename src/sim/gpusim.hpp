@@ -107,6 +107,10 @@ struct SimRunStats
     double simulateSec = 0; ///< wall seconds of the wave/epoch loop
     double barrierSec = 0;  ///< wall seconds draining + merging
     long issuedInsts = 0;   ///< summed over shards, in SM-index order
+    /** SmCore steps with at least one issue / with none, summed over
+     *  shards. Steps, not simulated cycles: a fast-forward across many
+     *  idle cycles counts one stall, so issueCycles + stallCycles is
+     *  the step count. */
     long issueCycles = 0;
     long stallCycles = 0;
     MemTraffic memTraffic;  ///< epoch-drained chip totals (sharded path)

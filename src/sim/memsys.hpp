@@ -72,8 +72,6 @@ class MemorySystem
      */
     MemAccessOutcome globalAccess(uint64_t addr, bool isWrite, double now);
 
-    const CacheModel &l2() const { return l2_; }
-
     /** Traffic since the last drain; resets the ledger. */
     MemTraffic drainTraffic();
 

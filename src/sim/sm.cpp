@@ -21,7 +21,6 @@ SmCore::SmCore(const GpuConfig &gpu, const KernelDescriptor &desc,
                MemorySystem &mem, double freqGhz, bool roundRobin,
                int smIndex)
     : gpu_(gpu), desc_(desc), program_(program), mem_(mem),
-      freqGhz_(freqGhz), cycleScale_(freqGhz / gpu.defaultClockGhz),
       roundRobin_(roundRobin), l1d_(gpu.l1d),
       addrRng_(desc.seed ^ 0xabcdULL ^
                (static_cast<uint64_t>(smIndex) * kSmSeedSalt))
@@ -41,9 +40,12 @@ SmCore::SmCore(const GpuConfig &gpu, const KernelDescriptor &desc,
     wMemCursor_.assign(numWarps_, 0);
     wCta_.assign(numWarps_, 0);
     wFinished_.assign(numWarps_, 0);
+    wProducerReady_.assign(numWarps_, 0.0);
+    wNextUnit_.assign(numWarps_, 0);
 
     subcoreWarps_.resize(static_cast<size_t>(gpu.subcoresPerSm));
     lastIssued_.assign(static_cast<size_t>(gpu.subcoresPerSm), -1);
+    subcoreWake_.assign(static_cast<size_t>(gpu.subcoresPerSm), 0.0);
     unitFreeAt_.assign(static_cast<size_t>(gpu.subcoresPerSm), {});
     const int warpsPerCta = std::max(1, desc.warpsPerCta);
     barriers_.resize(static_cast<size_t>(residentWarps + warpsPerCta - 1) /
@@ -125,6 +127,8 @@ SmCore::SmCore(const GpuConfig &gpu, const KernelDescriptor &desc,
             d.powerCompIdx =
                 static_cast<uint8_t>(componentIndex(inst.powerComp));
     }
+    for (size_t w = 0; w < numWarps_; ++w)
+        cacheNextInst(w);
 
     activity_ = ActivitySample{};
     activity_.freqGhz = freqGhz;
@@ -132,33 +136,42 @@ SmCore::SmCore(const GpuConfig &gpu, const KernelDescriptor &desc,
     activity_.avgActiveLanesPerWarp = y;
 }
 
+void
+SmCore::cacheNextInst(size_t w)
+{
+    const DecodedInst &dec = decoded_[wBodyIdx_[w]];
+    wNextUnit_[w] = dec.unit;
+    // Only this warp's own issues write its scoreboard, so the producer
+    // slot read here holds what a scan would read until the warp next
+    // issues.
+    double ready = 0;
+    if (dec.depDist > 0 && wIssued_[w] >= dec.depDist) {
+        int64_t producer = wIssued_[w] - dec.depDist;
+        ready = wReady_[w * kScoreboard +
+                        static_cast<size_t>(producer) % kScoreboard];
+    }
+    wProducerReady_[w] = ready;
+}
+
 bool
 SmCore::warpReady(size_t w, int subcore, double now,
                   double &wakeTime) const
 {
-    if (wNextIssue_[w] > now) {
-        wakeTime = std::min(wakeTime, wNextIssue_[w]);
-        return false;
-    }
-    const DecodedInst &dec = decoded_[wBodyIdx_[w]];
-    if (dec.depDist > 0 && wIssued_[w] >= dec.depDist) {
-        int64_t producer = wIssued_[w] - dec.depDist;
-        double ready = wReady_[w * kScoreboard +
-                               static_cast<size_t>(producer) % kScoreboard];
-        if (ready > now) {
-            wakeTime = std::min(wakeTime, ready);
-            return false;
-        }
-    }
-    if (dec.unit != static_cast<uint8_t>(ExecUnit::None)) {
-        double freeAt = unitFreeAt_[static_cast<size_t>(subcore)]
-                                   [dec.unit];
-        if (freeAt > now) {
-            wakeTime = std::min(wakeTime, freeAt);
-            return false;
-        }
-    }
-    return true;
+    // The first failing check, in issue-rule order, is the wake time.
+    // An issue-only instruction reads the ExecUnit::None slot, which is
+    // never written and stays 0.
+    const auto &unitFreeAt = unitFreeAt_[static_cast<size_t>(subcore)];
+    double blockedUntil;
+    if (wNextIssue_[w] > now)
+        blockedUntil = wNextIssue_[w];
+    else if (wProducerReady_[w] > now)
+        blockedUntil = wProducerReady_[w];
+    else if (unitFreeAt[wNextUnit_[w]] > now)
+        blockedUntil = unitFreeAt[wNextUnit_[w]];
+    else
+        return true;
+    wakeTime = std::min(wakeTime, blockedUntil);
+    return false;
 }
 
 double
@@ -238,9 +251,13 @@ SmCore::arriveAtBarrier(size_t w, double now)
         // Last arrival releases the whole CTA.
         bar.arrived = 0;
         for (size_t other : ctaWarps_[static_cast<size_t>(cta)]) {
-            if (!wFinished_[other])
-                wNextIssue_[other] =
-                    std::min(wNextIssue_[other], now + 1.0);
+            if (wFinished_[other])
+                continue;
+            wNextIssue_[other] = std::min(wNextIssue_[other], now + 1.0);
+            // A CTA spans sub-cores, and the released warp's may be
+            // asleep on a bound past now + 1.
+            double &wake = subcoreWake_[other % subcoreWake_.size()];
+            wake = std::min(wake, now + 1.0);
         }
         return;
     }
@@ -312,6 +329,7 @@ SmCore::issue(size_t w, int subcore, double now)
         }
     }
     wBodyIdx_[w] = next;
+    cacheNextInst(w);
 }
 
 bool
@@ -321,15 +339,26 @@ SmCore::tryIssueSubcore(int subcore, double now, double &nextEvent)
     if (ids.empty())
         return false;
 
+    // A scan that issued nothing proved no warp here can issue before
+    // `wake`; until then a rescan would fail the same checks on the
+    // same values. A scan that issues leaves `wake` <= now, so the next
+    // step rescans.
+    double &wake = subcoreWake_[static_cast<size_t>(subcore)];
+    if (now < wake) {
+        nextEvent = std::min(nextEvent, wake);
+        return false;
+    }
+
     int &last = lastIssued_[static_cast<size_t>(subcore)];
     const int n = static_cast<int>(ids.size());
     int issuedAt = -1;
+    double scanWake = 1e300;
     if (roundRobin_) {
         // Round-robin: resume scanning after the last issued warp.
         for (int off = 1; off <= n; ++off) {
             int i = (last + off + n) % n;
             size_t w = ids[static_cast<size_t>(i)];
-            if (warpReady(w, subcore, now, nextEvent)) {
+            if (warpReady(w, subcore, now, scanWake)) {
                 issue(w, subcore, now);
                 last = i;
                 issuedAt = i;
@@ -343,7 +372,7 @@ SmCore::tryIssueSubcore(int subcore, double now, double &nextEvent)
             if (rank >= 0 && i == last)
                 continue; // already tried greedily
             size_t w = ids[static_cast<size_t>(i)];
-            if (warpReady(w, subcore, now, nextEvent)) {
+            if (warpReady(w, subcore, now, scanWake)) {
                 issue(w, subcore, now);
                 last = i;
                 issuedAt = i;
@@ -351,8 +380,11 @@ SmCore::tryIssueSubcore(int subcore, double now, double &nextEvent)
             }
         }
     }
-    if (issuedAt < 0)
+    if (issuedAt < 0) {
+        wake = scanWake;
+        nextEvent = std::min(nextEvent, scanWake);
         return false;
+    }
 
     // Prune a warp that just retired from the live list so future scans
     // skip it. The circular-order successor of the erased slot keeps

@@ -12,17 +12,32 @@
  *
  * Layout: the per-warp scheduler state lives in structure-of-arrays
  * form (one flat vector per field, indexed by warp id) instead of an
- * array of Warp structs. The issue loop touches `nextIssue`, the
- * scoreboard and the decoded instruction stream for every resident
- * warp every cycle, so keeping each field contiguous is what the
- * per-cycle scan's cache behaviour lives or dies on. The per-body
- * instruction stream is decoded once at construction (latencies,
- * initiation intervals, unit and power-component indices) so the hot
- * path never re-derives them from OpClass switches. Retired warps are
- * pruned from the per-subcore scheduler lists, shrinking the scan as
- * the tail of a kernel drains. All of this is bit-exact with the
- * original array-of-structs implementation: same arithmetic on the
- * same values in the same order.
+ * array of Warp structs. The per-body instruction stream is decoded
+ * once at construction (latencies, initiation intervals, unit and
+ * power-component indices) so the hot path never re-derives them from
+ * OpClass switches. Retired warps are pruned from the per-subcore
+ * scheduler lists, shrinking the scan as the tail of a kernel drains.
+ *
+ * The issue loop skips work whose outcome it already knows:
+ *  - Readiness cache. Each warp keeps two facts about its next
+ *    instruction, refreshed when it issues: the ready time of its
+ *    scoreboard producer and its execution unit. A readiness check is
+ *    then three compares on flat arrays (issue gate, producer, unit),
+ *    and the first failing one is the warp's wake time. Only the
+ *    warp's own issues write its scoreboard, so the cached producer
+ *    time equals what a scan would read.
+ *  - Sub-core wake bound. A scan that issues nothing records the
+ *    earliest wake time it found, and the sub-core returns that bound
+ *    without scanning until `now` reaches it. A stalled sub-core's
+ *    warps, scoreboard, units, live list and GTO/RR pointer change
+ *    only when that sub-core issues, with one exception: a barrier
+ *    release from another sub-core, which lowers the bound of each
+ *    released warp's sub-core to `now + 1`.
+ * Reporting the *first* failing check (not the latest blocking time)
+ * keeps every fast-forward step, sample split and stall count what a
+ * full rescan would produce. All of this is bit-exact with the
+ * original array-of-structs implementation that scanned every warp
+ * every step: same arithmetic on the same values in the same order.
  *
  * Sharding: an SmCore can stand for one *group* of the chip's SMs (see
  * src/sim/shard.hpp). `smIndex` decorrelates the group's address
@@ -54,7 +69,7 @@ class SmCore
      * @param program       per-warp instruction program
      * @param residentWarps warps resident on this SM (all subcores)
      * @param mem           chip-level memory system (L2 slice + DRAM)
-     * @param freqGhz       core clock for this run
+     * @param freqGhz       core clock for this run (stamped on samples)
      * @param roundRobin    RR scheduling instead of greedy-then-oldest
      * @param smIndex       first SM index of the group this core stands
      *                      for (0 = the legacy representative; offsets
@@ -83,10 +98,12 @@ class SmCore
     const CacheModel &l1d() const { return l1d_; }
 
     // Scheduler observability (plain members, flushed into the metrics
-    // registry once per kernel by GpuSimulator::run).
+    // registry once per kernel by GpuSimulator::run). issueCycles and
+    // stallCycles count step() calls, not simulated cycles: a
+    // fast-forward across many idle cycles is one stalled step.
     long issuedInsts() const { return issuedInsts_; }
-    long issueCycles() const { return issueCycles_; }    ///< >=1 issue
-    long stallCycles() const { return stallCycles_; }    ///< no issue
+    long issueCycles() const { return issueCycles_; } ///< steps, >=1 issue
+    long stallCycles() const { return stallCycles_; } ///< steps, no issue
 
   private:
     /** Barrier bookkeeping for one resident CTA. */
@@ -129,9 +146,13 @@ class SmCore
     /** Attempt to issue for one subcore; returns true if issued. */
     bool tryIssueSubcore(int subcore, double now, double &nextEvent);
 
-    /** Can warp `w` issue its next instruction at `now`? */
+    /** Can warp `w` issue its next instruction at `now`? If not,
+     *  lowers `wakeTime` to the value of the first failing check. */
     bool warpReady(size_t w, int subcore, double now,
                    double &wakeTime) const;
+
+    /** Refresh warp `w`'s readiness cache for its next instruction. */
+    void cacheNextInst(size_t w);
 
     /** Issue warp `w`'s next instruction; updates all state. */
     void issue(size_t w, int subcore, double now);
@@ -153,8 +174,6 @@ class SmCore
     const KernelDescriptor &desc_;
     const WarpProgram &program_;
     MemorySystem &mem_;
-    double freqGhz_;
-    double cycleScale_; ///< f / f_default for wall-time-constant latencies
 
     size_t numWarps_ = 0;
     size_t bodySize_ = 0;
@@ -169,6 +188,9 @@ class SmCore
     std::vector<uint64_t> wMemCursor_; ///< strided-address cursor
     std::vector<int32_t> wCta_;        ///< CTA id (barrier scope)
     std::vector<uint8_t> wFinished_;   ///< warp retired its program
+    // Readiness cache for the warp's next instruction (cacheNextInst).
+    std::vector<double> wProducerReady_; ///< scoreboard producer ready
+    std::vector<uint8_t> wNextUnit_;     ///< ExecUnit
 
     std::vector<CtaBarrier> barriers_;
     std::vector<std::vector<size_t>> ctaWarps_; ///< warp ids per CTA
@@ -179,6 +201,9 @@ class SmCore
     std::vector<std::vector<size_t>> subcoreWarps_;
     std::vector<int> lastIssued_; ///< GTO/RR pointer into the live list
     bool roundRobin_ = false;     ///< RR instead of greedy-then-oldest
+    /** Per sub-core: no warp can issue before this cycle (set by a scan
+     *  that issued nothing, lowered by barrier releases). */
+    std::vector<double> subcoreWake_;
     std::vector<std::array<double, kNumExecUnits>> unitFreeAt_;
 
     CacheModel l1d_;

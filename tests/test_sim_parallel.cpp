@@ -3,19 +3,24 @@
  * Determinism and semantics of the sharded simulator (src/sim/shard.*):
  * bit-identical activity samples, watts checksums, and result-cache
  * keys at every AW_SIM_THREADS setting; byte-identical default-path
- * output; and the shard plan / epoch invariants the determinism
- * argument of DESIGN.md §9 rests on. The TSan leg of scripts/check.sh
- * runs this same binary under AW_SANITIZE=thread.
+ * output; the shard plan / epoch invariants the determinism argument
+ * of DESIGN.md §9 rests on; and both engines' output bits, pinned as
+ * digests. The TSan leg of scripts/check.sh runs this same binary
+ * under AW_SANITIZE=thread.
  */
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "common/parallel.hpp"
 #include "core/power_model.hpp"
 #include "core/result_cache.hpp"
 #include "sim/shard.hpp"
 #include "ubench/microbench.hpp"
+#include "workloads/validation.hpp"
 
 using namespace aw;
 
@@ -51,6 +56,22 @@ divergenceHeavy()
     k.memFootprintKb = 1024;
     k.pointerChase = true;
     k.iterations = 12;
+    return k;
+}
+
+/** Memory-bound with frequent barriers: a release often finds another
+ *  sub-core, stalled on DRAM, asleep well past the next cycle. */
+KernelDescriptor
+barrierHeavy()
+{
+    auto k = makeKernel("par_barrier",
+                        {{OpClass::LdGlobal, 0.3},
+                         {OpClass::FpFma, 0.5},
+                         {OpClass::Bar, 0.2}},
+                        160, 4);
+    k.ctasPerSm = 4;
+    k.memFootprintKb = 4096;
+    k.iterations = 8;
     return k;
 }
 
@@ -104,6 +125,51 @@ expectSamplesBitIdentical(const KernelActivity &a, const KernelActivity &b)
                 << "sample " << i << " unit " << u;
     }
 }
+
+/** The result cache's FNV-1a over the object bytes of every value fed
+ *  to it. */
+class OutputDigest
+{
+  public:
+    template <typename T> void add(T v)
+    {
+        bytes_.append(reinterpret_cast<const char *>(&v), sizeof v);
+    }
+
+    /** Every sample field, the run totals and the issue counters. */
+    void addRun(const KernelActivity &act)
+    {
+        for (const ActivitySample &s : act.samples) {
+            add(s.cycles);
+            add(s.freqGhz);
+            add(s.voltage);
+            for (double a : s.accesses)
+                add(a);
+            add(s.avgActiveSms);
+            add(s.avgActiveLanesPerWarp);
+            for (double u : s.unitInsts)
+                add(u);
+            add(s.intAddInsts);
+            add(s.intMulInsts);
+        }
+        add(act.totalCycles);
+        add(act.elapsedSec);
+        const SimRunStats &stats = lastSimRunStats();
+        add(stats.issuedInsts);
+        add(stats.issueCycles);
+        add(stats.stallCycles);
+    }
+
+    std::string hex() const
+    {
+        char buf[17];
+        std::snprintf(buf, sizeof buf, "%016" PRIx64, fnv1a64(bytes_));
+        return buf;
+    }
+
+  private:
+    std::string bytes_;
+};
 
 } // namespace
 
@@ -280,6 +346,63 @@ TEST(SimParallel, RunStatsDescribeTheShardedRun)
               static_cast<size_t>(stats.epochs));
     EXPECT_GT(stats.memTraffic.l2Accesses, 0u);
     EXPECT_GT(stats.issuedInsts, 0);
+}
+
+// --- output bits ---------------------------------------------------------
+
+TEST(SimParallel, OutputBitsAreGolden)
+{
+    // The simulator's exact output on the 26 validation kernels, three
+    // of which (walsh_K1, msort_K1, bprop_K1) synchronize on barriers,
+    // plus barrierHeavy(), whose barrier releases wake stalled
+    // sub-cores early (the validation kernels' releases never do). Any
+    // change to issue order, wake times, fast-forward steps or sample
+    // splits moves a digest; a change that means to move them must say
+    // why and re-pin the literals. The literals are x86-64 values: a
+    // target that contracts a * b + c into one FMA may round otherwise.
+    GpuSimulator sim(voltaGV100());
+    std::vector<KernelDescriptor> kernels;
+    for (const ValidationKernel &v : validationSuite())
+        kernels.push_back(v.kernel);
+    kernels.push_back(barrierHeavy());
+    auto usesBarrier = [](const KernelDescriptor &k) {
+        for (const MixEntry &m : k.mix)
+            if (m.op == OpClass::Bar)
+                return true;
+        return false;
+    };
+    auto digest = [&](const SimOptions &opts, bool ptx, bool subset) {
+        OutputDigest d;
+        for (size_t i = 0; i < kernels.size(); ++i) {
+            const KernelDescriptor &k = kernels[i];
+            if (subset && i % 2 != 0 && !usesBarrier(k))
+                continue;
+            d.addRun(ptx ? sim.runPtx(k, opts) : sim.runSass(k, opts));
+        }
+        return d.hex();
+    };
+
+    SimOptions gto;
+    gto.detailSms = 1;
+    EXPECT_EQ(digest(gto, false, false), "fd6ed0c49ae12050") << "SASS GTO";
+    SimOptions rr = gto;
+    rr.scheduler = SchedulerPolicy::RoundRobin;
+    EXPECT_EQ(digest(rr, false, false), "7118b9108bc958e1") << "SASS RR";
+    SimOptions slow = gto;
+    slow.freqGhz = 0.9;
+    EXPECT_EQ(digest(slow, false, false), "b22e6bf5600daea8")
+        << "SASS 0.9 GHz";
+    EXPECT_EQ(digest(gto, true, false), "2012c65336b9ec4b") << "PTX";
+
+    // Detail 8 on every other kernel plus the barrier kernels: one
+    // literal for both thread counts.
+    SimOptions detailed;
+    detailed.detailSms = 8;
+    for (int threads : {1, 4}) {
+        detailed.simThreads = threads;
+        EXPECT_EQ(digest(detailed, false, true), "574e62f624683728")
+            << "SASS detail 8, " << threads << " threads";
+    }
 }
 
 TEST(SimParallel, DivergentWorkloadStaysDeterministicUnderRepeats)
