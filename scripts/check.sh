@@ -411,7 +411,8 @@ service_obs_leg() {
 # Sharded-simulator determinism leg.
 #   $1 = TSan build dir holding test_sim_parallel (built here if absent)
 # Part 1 re-runs the determinism suite under TSan with AW_SIM_THREADS=4
-# so the epoch loop's cross-thread handoffs are raced for real; part 2
+# so the shard tasks' handoffs to the pool workers and back to the
+# merging caller are raced for real; part 2
 # runs the sim_scaling bench in the plain tree at 1 and 8 simulator
 # threads and fails when the watts checksums differ — the end-to-end
 # proof that thread count cannot reach the power numbers.

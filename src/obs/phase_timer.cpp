@@ -18,7 +18,6 @@ simPhaseName(SimPhase phase)
       case SimPhase::Finalize: return "finalize";
       case SimPhase::Evaluate: return "evaluate";
       case SimPhase::Tune:     return "tune";
-      case SimPhase::Sync:     return "sync";
     }
     return "unknown";
 }

@@ -14,14 +14,13 @@
  * scopes instead of double-counting nesting. Nesting is tracked with a
  * thread_local stack; each thread attributes independently into the
  * shared atomic accumulators. That makes the layer correct under the
- * sharded simulator (src/sim/shard.cpp) with one caveat the sharded
- * epoch loop honors: a coordinator must NOT hold an outer scope that
- * spans a parallel region whose workers open their own scopes — the
- * workers' time would land twice (once in their scopes, once in the
- * coordinator's, since cross-thread scopes are not parent/child).
- * The epoch loop therefore opens Issue/Memory/Sampling scopes inside
- * each worker task and accounts its own serial work (ledger drains,
- * the ordered sample merge) under the dedicated Sync phase.
+ * sharded simulator (src/sim/shard.cpp) with one caveat it honors: a
+ * coordinator must NOT hold an outer scope that spans a parallel region
+ * whose workers open their own scopes — the workers' time would land
+ * twice (once in their scopes, once in the coordinator's, since
+ * cross-thread scopes are not parent/child). Each shard task therefore
+ * opens its own Issue/Memory/Sampling scopes, and the caller's setup
+ * and sample merge sit in Setup and Finalize scopes outside the region.
  *
  * Cost model: disabled (the default — AW_PHASES unset), a PhaseScope is
  * one relaxed atomic load and no clock reads, and simulator output is
@@ -51,17 +50,16 @@ namespace aw::obs {
 enum class SimPhase : uint8_t
 {
     Tracegen, ///< SASS/PTX warp-program generation
-    Setup,    ///< launch shape + MemorySystem/SmCore construction
-    Issue,    ///< the wave loop: scheduling + non-memory issue
+    Setup,    ///< shard plan + MemorySystem/SmCore construction
+    Issue,    ///< the shard loop: scheduling + non-memory issue
     Memory,   ///< memory-instruction modeling (L1/L2/DRAM)
     Sampling, ///< 500-cycle activity-sample close + drain
-    Finalize, ///< trailing sample, chip-wide scaling, metrics flush
+    Finalize, ///< shard sample merge, chip-wide scaling, metrics flush
     Evaluate, ///< AccelWattch power evaluation of an activity stream
     Tune,     ///< Eq. 14 dynamic-power tuning (QP assembly + solve)
-    Sync,     ///< sharded-run epoch barrier: ledger drain + sample merge
 };
 
-inline constexpr size_t kNumSimPhases = 9;
+inline constexpr size_t kNumSimPhases = 8;
 
 /** Lowercase stable name ("tracegen", "issue", ...). */
 const char *simPhaseName(SimPhase phase);

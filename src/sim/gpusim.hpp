@@ -1,10 +1,12 @@
 /**
  * @file
  * Top-level trace-driven GPU performance simulator (the repository's
- * Accel-Sim substitute). It executes a kernel's warp program on a
- * detailed model of one SM, shares the L2/DRAM according to the number
- * of active SMs, and scales activities chip-wide — matching the paper's
- * all-active-SMs-contribute-equally assumption (Eq. 6).
+ * Accel-Sim substitute). It executes a kernel's warp program on
+ * detailed models of SM groups — one by default, the representative SM
+ * of the paper's all-active-SMs-contribute-equally assumption (Eq. 6) —
+ * shares the L2/DRAM according to the number of active SMs, and scales
+ * each group's activity by the SMs it stands for. The simulation loop
+ * itself is runShardedSim (sim/shard.hpp).
  *
  * Output is the KernelActivity stream AccelWattch consumes: 500-cycle
  * activity samples with per-component access counts, occupancy, mix,
@@ -50,28 +52,19 @@ struct SimOptions
      */
     int detailSms = 0;
 
-    /**
-     * Sample intervals per shard epoch (the synchronization quantum of
-     * the sharded engine). Shards advance independently inside an
-     * epoch; the memory ledgers drain at the boundary. Provably does
-     * not affect simulation results (shard state persists across
-     * epochs), only barrier frequency.
-     */
-    int epochIntervals = 16;
-
-    /** Worker threads for the sharded engine; 0 = simThreadCount()
+    /** Worker threads that run shards; 0 = simThreadCount()
      *  (AW_SIM_THREADS, default 1). Never affects results. */
     int simThreads = 0;
 
     /**
      * Cooperative cancellation (the awd service's per-request deadline
-     * propagated into the estimation path): when non-null and it flips
-     * to true, the simulation stops at the next step (legacy path) or
-     * epoch boundary (sharded path), returns the partial activity, and
+     * propagated into the estimation path): when non-null, every shard
+     * polls it before its first step and at each sample close, stops
+     * once it reads true, and the run returns the partial activity and
      * flags lastSimRunStats().cancelled. Callers must treat a
      * cancelled result as garbage — the cached helpers never store it.
-     * Null (the default) is branch-predicted away and bit-identical to
-     * a build without the field; never part of cache keys.
+     * Null (the default) is bit-identical to a build without the field;
+     * never part of cache keys.
      */
     const std::atomic<bool> *cancel = nullptr;
 };
@@ -92,20 +85,17 @@ void setSimDetail(int n);
 /**
  * Execution statistics of the most recent GpuSimulator::run on the
  * calling thread (thread-local, so concurrent pipeline tasks cannot
- * race): shard/thread/epoch shape, per-shard busy time, and the
- * chip-wide memory traffic drained at the epoch barriers. PerfLab's
- * `sim_scaling` bench turns epochShardSec into a modeled critical-path
- * makespan per thread count.
+ * race): shard and thread shape, per-shard busy time and issue
+ * counters. PerfLab's `sim_scaling` bench takes the slowest shard's
+ * busy time as a run's critical path.
  */
 struct SimRunStats
 {
     int detail = 1;  ///< effective (clamped) detail groups
     int shards = 1;  ///< shards actually run
-    int threads = 1; ///< worker-thread cap used
-    int epochs = 0;  ///< epoch barriers crossed (0 = legacy path)
+    int threads = 1; ///< worker threads used: the cap, at most one per shard
     bool cancelled = false; ///< run stopped early on SimOptions::cancel
-    double simulateSec = 0; ///< wall seconds of the wave/epoch loop
-    double barrierSec = 0;  ///< wall seconds draining + merging
+    double simulateSec = 0; ///< wall seconds until the last shard finished
     long issuedInsts = 0;   ///< summed over shards, in SM-index order
     /** SmCore steps with at least one issue / with none, summed over
      *  shards. Steps, not simulated cycles: a fast-forward across many
@@ -113,10 +103,7 @@ struct SimRunStats
      *  the step count. */
     long issueCycles = 0;
     long stallCycles = 0;
-    MemTraffic memTraffic;  ///< epoch-drained chip totals (sharded path)
-    std::vector<double> shardBusySec;  ///< total busy seconds per shard
-    /** Busy seconds per epoch per shard: [epoch][shard]. */
-    std::vector<std::vector<double>> epochShardSec;
+    std::vector<double> shardBusySec;  ///< busy seconds per shard
 };
 
 /** Stats of the calling thread's most recent run (see SimRunStats). */

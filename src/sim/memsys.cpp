@@ -38,9 +38,7 @@ MemorySystem::globalAccess(uint64_t addr, bool isWrite, double now)
         l2NextFree_ = l2Start + l2Service;
         out.latencyCycles += (l2Start - now) + l2Service;
         out.occupancyCycles += l2Service;
-        traffic_.l2BusyCycles += l2Service;
     }
-    ++traffic_.l2Accesses;
 
     auto l2res = l2_.access(addr, isWrite);
     bool needDram = !l2res.hit;
@@ -58,18 +56,8 @@ MemorySystem::globalAccess(uint64_t addr, bool isWrite, double now)
             dramNextFree_ = start + serviceCycles;
             out.latencyCycles += (start - now) + serviceCycles;
             out.occupancyCycles += serviceCycles;
-            traffic_.dramBusyCycles += serviceCycles;
         }
     }
-    traffic_.dramAccesses += static_cast<uint64_t>(out.dramAccesses);
-    return out;
-}
-
-MemTraffic
-MemorySystem::drainTraffic()
-{
-    MemTraffic out = traffic_;
-    traffic_ = MemTraffic{};
     return out;
 }
 

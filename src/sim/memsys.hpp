@@ -4,10 +4,13 @@
  * (capacity share of the chip-wide L2), NoC latency, and a DRAM model
  * with a bandwidth share and queueing.
  *
- * The simulator models one representative SM in detail and scales
- * activities by the number of active SMs (the paper's Eq. 6 makes the
- * same all-SMs-equal assumption); the memory system accordingly gives
- * this SM 1/k of the chip's L2 capacity and DRAM bandwidth.
+ * The simulator models one representative SM per shard in detail and
+ * scales activities by the number of SMs it stands for (the paper's
+ * Eq. 6 makes the same all-SMs-equal assumption); each shard's memory
+ * system accordingly gives its SM 1/k of the chip's L2 capacity and
+ * DRAM bandwidth, and shards never share one. L2 and DRAM traffic
+ * reach the activity samples as the SM's L2Noc and DramMc access
+ * counts, taken from each access's MemAccessOutcome.
  */
 #pragma once
 
@@ -29,21 +32,6 @@ struct MemAccessOutcome
     double occupancyCycles = 0;
     int l2Accesses = 0;       ///< L2+NoC events generated
     int dramAccesses = 0;     ///< DRAM+MC events generated
-};
-
-/**
- * Memory traffic accumulated by one MemorySystem since the last drain.
- * The sharded simulator (src/sim/shard.hpp) drains every shard's
- * ledger at each epoch boundary, in SM-index order, into the chip-wide
- * totals — the ordered reduction that keeps the merged memory-system
- * statistics independent of how shards interleave across threads.
- */
-struct MemTraffic
-{
-    uint64_t l2Accesses = 0;   ///< L2+NoC events serviced
-    uint64_t dramAccesses = 0; ///< DRAM+MC events serviced
-    double l2BusyCycles = 0;   ///< L2 port service time consumed
-    double dramBusyCycles = 0; ///< DRAM channel service time consumed
 };
 
 /** L2 slice + DRAM for one simulated SM. */
@@ -72,13 +60,9 @@ class MemorySystem
      */
     MemAccessOutcome globalAccess(uint64_t addr, bool isWrite, double now);
 
-    /** Traffic since the last drain; resets the ledger. */
-    MemTraffic drainTraffic();
-
   private:
     const GpuConfig &gpu_;
     CacheModel l2_;
-    MemTraffic traffic_;
     double cycleScale_;     ///< f / f_default: converts base cycles
     bool idealizedBandwidth_;
     double l2BytesPerCycle_;

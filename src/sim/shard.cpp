@@ -9,6 +9,7 @@
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase_timer.hpp"
+#include "obs/trace.hpp"
 
 namespace aw {
 
@@ -28,11 +29,67 @@ struct Shard
     std::unique_ptr<MemorySystem> mem;
     std::unique_ptr<SmCore> sm;
     int smCount = 0;
+    int firstSm = 0;
     double now = 0;
-    double sampleStart = 0;
+    bool cancelled = false;
     std::vector<ActivitySample> samples;
     double busySec = 0;
 };
+
+bool
+cancelRequested(const SimOptions &opts)
+{
+    return opts.cancel && opts.cancel->load(std::memory_order_relaxed);
+}
+
+/**
+ * Advance one shard until its SM retires, it reaches the cycle cap, or
+ * cancellation is requested (polled before the first step and at each
+ * sample close). A sample closes whenever the clock passes the next
+ * interval multiple. All the activity of the boundary-crossing step
+ * lands in the closed sample; the further intervals a long stall
+ * fast-forward crosses carry no activity, so they collapse into one
+ * idle sample instead of one zero sample per interval.
+ */
+void
+runShard(Shard &sh, const SimOptions &opts)
+{
+    AW_PROF_SCOPE("sim/wave");
+    // The issue phase owns the loop; the memory scopes opened inside
+    // SmCore::memoryLatency and the sampling scope below subtract
+    // themselves, leaving scheduling + issue time.
+    obs::PhaseScope issuePhase(obs::SimPhase::Issue);
+    const double interval = opts.sampleIntervalCycles;
+    const double cap = static_cast<double>(opts.maxCycles);
+    SmCore &sm = *sh.sm;
+    double sampleStart = 0;
+    sh.cancelled = cancelRequested(opts);
+    while (!sh.cancelled && !sm.done() && sh.now < cap) {
+        double next = sm.step(sh.now);
+        if (next >= sampleStart + interval) {
+            obs::PhaseScope samplingPhase(obs::SimPhase::Sampling);
+            ActivitySample s = sm.drainActivity();
+            s.cycles = interval;
+            sh.samples.push_back(std::move(s));
+            sampleStart += interval;
+            double idleIntervals =
+                std::floor((next - sampleStart) / interval);
+            if (idleIntervals >= 1) {
+                ActivitySample idle = sm.drainActivity();
+                idle.cycles = idleIntervals * interval;
+                sh.samples.push_back(std::move(idle));
+                sampleStart += idleIntervals * interval;
+            }
+            sh.cancelled = cancelRequested(opts);
+        }
+        sh.now = next;
+    }
+    if (sh.now > sampleStart) {
+        ActivitySample s = sm.drainActivity();
+        s.cycles = sh.now - sampleStart;
+        sh.samples.push_back(std::move(s));
+    }
+}
 
 bool
 sampleIsIdle(const ActivitySample &s)
@@ -44,6 +101,120 @@ sampleIsIdle(const ActivitySample &s)
         if (u != 0)
             return false;
     return s.intAddInsts == 0 && s.intMulInsts == 0;
+}
+
+/** Sample intervals a shard sample covers: one for a closed or trailing
+ *  sample, several for a collapsed idle run. */
+long long
+intervalsCovered(const ActivitySample &s, double interval)
+{
+    return std::max<long long>(1, std::llround(s.cycles / interval));
+}
+
+/**
+ * Ordered streaming merge of the shards' sample streams, each of which
+ * starts its samples on interval multiples. An output sample starts
+ * wherever a shard sample starts or a shard's stream ends. It sums, in
+ * SM-index order onto `tmpl`, every shard sample starting there, scaled
+ * by the shard's SM count, and its cycles run to the next such start,
+ * or to `maxNow` for the last one. A sample with any activity thus
+ * spans exactly one interval, and the result is the chip-wide
+ * interval-by-interval stream without ever materializing one slot per
+ * interval (a Pascal tensor kernel fast-forwards ~1e9 cycles).
+ *
+ * With two or more shards, an all-idle output sample folds into an
+ * all-idle predecessor, so a stall the shards enter at different
+ * intervals stays one sample. One shard keeps its own boundaries, as
+ * the single-representative simulator always has: there a closed
+ * sample without activity can precede an idle run (only Pascal tensor
+ * kernels do this), and folding it would change detail-1 samples that
+ * result caches hold under unchanged keys.
+ */
+std::vector<ActivitySample>
+mergeShards(const std::vector<Shard> &shards, const ActivitySample &tmpl,
+            double interval, double maxNow)
+{
+    const size_t n = shards.size();
+    std::vector<size_t> next(n, 0);  // each shard's first unmerged sample
+    std::vector<long long> at(n, 0); // its start interval, then stream end
+    long long end = 0;
+    for (const Shard &sh : shards) {
+        long long e = 0;
+        for (const ActivitySample &s : sh.samples)
+            e += intervalsCovered(s, interval);
+        end = std::max(end, e);
+    }
+    // The last output sample ends at maxNow, off the interval grid. Its
+    // whole intervals are added first and this tail last, so the cycle
+    // count rounds once, exactly as a per-interval sum would.
+    const double tail = maxNow - static_cast<double>(end - 1) * interval;
+
+    std::vector<ActivitySample> out;
+    for (long long pos = 0; pos < end;) {
+        ActivitySample merged = tmpl;
+        long long stop = end;
+        for (size_t g = 0; g < n; ++g) {
+            const Shard &sh = shards[g];
+            if (at[g] == pos && next[g] < sh.samples.size()) {
+                const ActivitySample &s = sh.samples[next[g]++];
+                const double scale = sh.smCount;
+                for (size_t c = 0; c < s.accesses.size(); ++c)
+                    merged.accesses[c] += s.accesses[c] * scale;
+                for (size_t u = 0; u < s.unitInsts.size(); ++u)
+                    merged.unitInsts[u] += s.unitInsts[u] * scale;
+                merged.intAddInsts += s.intAddInsts * scale;
+                merged.intMulInsts += s.intMulInsts * scale;
+                at[g] += intervalsCovered(s, interval);
+            }
+            if (at[g] > pos)
+                stop = std::min(stop, at[g]);
+        }
+        const bool last = stop == end;
+        const double whole =
+            static_cast<double>(stop - pos - (last ? 1 : 0)) * interval;
+        if (n > 1 && !out.empty() && sampleIsIdle(merged) &&
+            sampleIsIdle(out.back())) {
+            out.back().cycles += whole;
+        } else {
+            merged.cycles = whole;
+            out.push_back(std::move(merged));
+        }
+        if (last)
+            out.back().cycles += tail;
+        pos = stop;
+    }
+    return out;
+}
+
+/** Per-kernel flush of the SM counters into the registry (static
+ *  references: one name lookup per process, then lock-free).
+ *  `sim.sm.issue_cycles` and `sim.sm.issue_stalls` count SmCore steps
+ *  with and without an issue (see SimRunStats), not simulated cycles. */
+void
+flushSimMetrics(double cycles, size_t sampleCount, int waves,
+                const SimRunStats &stats)
+{
+    using obs::metrics;
+    static obs::Counter &kernelsC = metrics().counter("sim.kernels");
+    static obs::Counter &cyclesC =
+        metrics().counter("sim.cycles_simulated");
+    static obs::Counter &samplesC = metrics().counter("sim.samples");
+    static obs::Counter &wavesC = metrics().counter("sim.waves");
+    static obs::Counter &instsC =
+        metrics().counter("sim.sm.insts_issued");
+    static obs::Counter &issueCyclesC =
+        metrics().counter("sim.sm.issue_cycles");
+    static obs::Counter &stallsC =
+        metrics().counter("sim.sm.issue_stalls");
+    kernelsC.add(1);
+    cyclesC.add(cycles);
+    samplesC.add(static_cast<double>(sampleCount));
+    wavesC.add(waves);
+    instsC.add(static_cast<double>(stats.issuedInsts));
+    issueCyclesC.add(static_cast<double>(stats.issueCycles));
+    stallsC.add(static_cast<double>(stats.stallCycles));
+    if (stats.cancelled)
+        metrics().counter("sim.cancelled").add(1);
 }
 
 } // namespace
@@ -74,7 +245,6 @@ runShardedSim(const GpuConfig &gpu, const KernelDescriptor &desc,
               const LaunchShape &shape, double freqGhz, int detail,
               SimRunStats &stats)
 {
-    AW_ASSERT(detail >= 2);
     std::vector<Shard> shards;
     {
         obs::PhaseScope setupPhase(obs::SimPhase::Setup);
@@ -83,189 +253,74 @@ runShardedSim(const GpuConfig &gpu, const KernelDescriptor &desc,
         for (size_t g = 0; g < shards.size(); ++g) {
             Shard &sh = shards[g];
             sh.smCount = plan.smCounts[g];
-            // Each shard's memory system keeps the legacy 1/k capacity
-            // and bandwidth shares: the shard still stands for one SM's
-            // view of the chip; detail only diversifies which SMs get a
-            // detailed model.
+            sh.firstSm = plan.firstSmIndex[g];
+            // Each shard's memory system keeps the 1/k capacity and
+            // bandwidth shares: the shard still stands for one SM's view
+            // of the chip; detail only diversifies which SMs get a
+            // detailed model. The emulation (PTX) path carries the
+            // idealized memory model; the trace-driven (SASS) path
+            // models bandwidth contention.
             sh.mem = std::make_unique<MemorySystem>(
                 gpu, shape.activeSms, freqGhz,
                 program.isa == IsaLevel::Ptx);
             sh.sm = std::make_unique<SmCore>(
                 gpu, desc, program, shape.residentWarps, *sh.mem, freqGhz,
-                opts.scheduler == SchedulerPolicy::RoundRobin,
-                plan.firstSmIndex[g]);
+                opts.scheduler == SchedulerPolicy::RoundRobin, sh.firstSm);
         }
     }
 
     const size_t numShards = shards.size();
-    const double interval = opts.sampleIntervalCycles;
-    const double epochCycles =
-        interval * std::max(1, opts.epochIntervals);
-    const double cap = static_cast<double>(opts.maxCycles);
-    const int threads = std::max(
+    const int threadCap = std::max(
         1, opts.simThreads > 0 ? opts.simThreads : simThreadCount());
-
     stats.detail = static_cast<int>(numShards);
     stats.shards = static_cast<int>(numShards);
-    stats.threads = threads;
+    stats.threads =
+        static_cast<int>(std::min(static_cast<size_t>(threadCap), numShards));
 
-    KernelActivity out;
-    out.kernelName = desc.name;
-
+    // One task per shard, run to completion. The caller holds no phase
+    // scope across this region: workers attribute their own time (see
+    // obs/phase_timer.hpp). One shard runs inline on the caller.
     const Clock::time_point simStart = Clock::now();
-    double epochEnd = 0;
-    while (true) {
-        // Cooperative cancellation (service deadlines): the check sits
-        // at the epoch boundary so no worker is ever interrupted
-        // mid-epoch — the partial activity merged below is still
-        // deterministic, it is just flagged unusable via
-        // stats.cancelled.
-        if (opts.cancel && opts.cancel->load(std::memory_order_relaxed)) {
-            stats.cancelled = true;
-            obs::metrics().counter("sim.cancelled").add(1);
-            break;
-        }
-        bool anyRunnable = false;
-        for (const Shard &sh : shards) {
-            if (!sh.sm->done() && sh.now < cap) {
-                anyRunnable = true;
-                break;
-            }
-        }
-        if (!anyRunnable)
-            break;
-        epochEnd += epochCycles;
-
-        std::vector<double> epochSec(numShards, 0.0);
-        parallelForWith(threads, numShards, [&](size_t g) {
-            Shard &sh = shards[g];
-            if (sh.sm->done() || sh.now >= cap)
-                return;
-            const Clock::time_point t0 = Clock::now();
-            // Workers own their phase scopes; the coordinator holds no
-            // scope across this region (see obs/phase_timer.hpp).
-            obs::PhaseScope issuePhase(obs::SimPhase::Issue);
-            SmCore &sm = *sh.sm;
-            while (!sm.done() && sh.now < cap && sh.now < epochEnd) {
-                double next = sm.step(sh.now);
-                // Identical sample-close logic to the legacy wave loop;
-                // pausing at the epoch boundary preserves the exact
-                // step/close sequence, so epoch size cannot change the
-                // shard's output.
-                if (next >= sh.sampleStart + interval) {
-                    obs::PhaseScope samplingPhase(obs::SimPhase::Sampling);
-                    ActivitySample s = sm.drainActivity();
-                    s.cycles = interval;
-                    sh.samples.push_back(std::move(s));
-                    sh.sampleStart += interval;
-                    double idleIntervals =
-                        std::floor((next - sh.sampleStart) / interval);
-                    if (idleIntervals >= 1) {
-                        ActivitySample idle = sm.drainActivity();
-                        idle.cycles = idleIntervals * interval;
-                        sh.samples.push_back(std::move(idle));
-                        sh.sampleStart += idleIntervals * interval;
-                    }
-                }
-                sh.now = next;
-            }
-            double sec = secondsSince(t0);
-            epochSec[g] = sec;
-            sh.busySec += sec;
-        });
-
-        // Epoch barrier: drain every shard's memory ledger in SM-index
-        // order so the chip totals accumulate identically at any thread
-        // count.
-        obs::PhaseScope syncPhase(obs::SimPhase::Sync);
+    parallelForWith(stats.threads, numShards, [&](size_t g) {
         const Clock::time_point t0 = Clock::now();
-        for (Shard &sh : shards) {
-            MemTraffic t = sh.mem->drainTraffic();
-            stats.memTraffic.l2Accesses += t.l2Accesses;
-            stats.memTraffic.dramAccesses += t.dramAccesses;
-            stats.memTraffic.l2BusyCycles += t.l2BusyCycles;
-            stats.memTraffic.dramBusyCycles += t.dramBusyCycles;
-        }
-        stats.epochShardSec.push_back(std::move(epochSec));
-        ++stats.epochs;
-        stats.barrierSec += secondsSince(t0);
-    }
+        runShard(shards[g], opts);
+        shards[g].busySec = secondsSince(t0);
+    });
     stats.simulateSec = secondsSince(simStart);
-    stats.shardBusySec.reserve(numShards);
-    for (const Shard &sh : shards)
-        stats.shardBusySec.push_back(sh.busySec);
 
     obs::PhaseScope finalizePhase(obs::SimPhase::Finalize);
-    const Clock::time_point mergeStart = Clock::now();
     double maxNow = 0;
-    for (Shard &sh : shards) {
-        if (!sh.sm->done())
+    stats.shardBusySec.reserve(numShards);
+    for (const Shard &sh : shards) {
+        if (!sh.sm->done() && !sh.cancelled)
             warn("simulation of %s (shard sm %d+) hit the cycle cap (%ld)",
-                 desc.name.c_str(), sh.smCount, opts.maxCycles);
-        if (sh.now > sh.sampleStart) {
-            ActivitySample s = sh.sm->drainActivity();
-            s.cycles = sh.now - sh.sampleStart;
-            sh.samples.push_back(std::move(s));
-        }
+                 desc.name.c_str(), sh.firstSm, opts.maxCycles);
+        stats.cancelled = stats.cancelled || sh.cancelled;
         maxNow = std::max(maxNow, sh.now);
+        stats.shardBusySec.push_back(sh.busySec);
         stats.issuedInsts += sh.sm->issuedInsts();
         stats.issueCycles += sh.sm->issueCycles();
         stats.stallCycles += sh.sm->stallCycles();
     }
 
-    // Ordered merge onto the sample-interval grid. Every shard sample
-    // starts on a grid multiple and carries its activity in its first
-    // interval (collapsed idle runs are all-zero by construction), so
-    // attributing each sample to its starting slot and summing shards
-    // in SM-index order reproduces a chip-wide 500-cycle stream
-    // exactly, independent of thread count.
-    const size_t slots = static_cast<size_t>(
-        std::max(1.0, std::ceil(maxNow / interval)));
-    // A drained (post-tail) sample keeps only the intensive settings
-    // (clock, voltage, lane occupancy) — the template for merged slots.
+    // A drained sample keeps only the intensive settings (clock,
+    // voltage, lane occupancy): the template of every merged sample.
     ActivitySample tmpl = shards[0].sm->drainActivity();
-    std::vector<ActivitySample> grid(slots, tmpl);
-    for (Shard &sh : shards) {
-        const double scale = sh.smCount;
-        size_t slot = 0;
-        for (const ActivitySample &s : sh.samples) {
-            AW_ASSERT(slot < slots);
-            ActivitySample &dst = grid[slot];
-            for (size_t c = 0; c < s.accesses.size(); ++c)
-                dst.accesses[c] += s.accesses[c] * scale;
-            for (size_t u = 0; u < s.unitInsts.size(); ++u)
-                dst.unitInsts[u] += s.unitInsts[u] * scale;
-            dst.intAddInsts += s.intAddInsts * scale;
-            dst.intMulInsts += s.intMulInsts * scale;
-            slot += static_cast<size_t>(
-                std::max<long long>(1, std::llround(s.cycles / interval)));
-        }
-        sh.samples.clear();
-    }
-
-    // Slot cycle spans; the last slot covers the fractional remainder.
-    for (size_t i = 0; i < slots; ++i) {
-        grid[i].cycles = interval;
-        grid[i].avgActiveSms = shape.activeSms;
-    }
-    grid[slots - 1].cycles =
-        maxNow - static_cast<double>(slots - 1) * interval;
-
-    // Collapse runs of all-idle slots, mirroring the legacy loop's
-    // fast-forward coalescing, so long stalls stay one sample.
-    out.samples.reserve(slots);
-    for (size_t i = 0; i < slots; ++i) {
-        if (!out.samples.empty() && sampleIsIdle(grid[i]) &&
-            sampleIsIdle(out.samples.back())) {
-            out.samples.back().cycles += grid[i].cycles;
-            continue;
-        }
-        out.samples.push_back(std::move(grid[i]));
-    }
-
+    tmpl.avgActiveSms = shape.activeSms;
+    KernelActivity out;
+    out.kernelName = desc.name;
+    out.samples =
+        mergeShards(shards, tmpl, opts.sampleIntervalCycles, maxNow);
     out.totalCycles = maxNow * shape.waves;
     out.elapsedSec = out.totalCycles / (freqGhz * 1e9);
-    stats.barrierSec += secondsSince(mergeStart);
+
+    flushSimMetrics(maxNow, out.samples.size(), shape.waves, stats);
+    AW_DEBUGF("sim",
+              "%s: %.0f cycles, %zu samples, %d waves, %ld insts, "
+              "%ld stall steps (%d shards, %d threads)",
+              desc.name.c_str(), out.totalCycles, out.samples.size(),
+              shape.waves, stats.issuedInsts, stats.stallCycles,
+              stats.shards, stats.threads);
     return out;
 }
 

@@ -1,20 +1,18 @@
 /**
  * @file
- * Sharded cycle simulation: the detailed SM groups of a launch advance
- * on worker threads inside fixed cycle epochs, synchronizing at the
- * epoch boundary where the coordinator drains each shard's memory
- * ledger in SM-index order.
+ * The cycle simulator's one loop: the detailed SM groups (shards) of a
+ * launch each run to completion as one task on worker threads, and
+ * their activity samples stream into one chip-wide sample stream.
+ * Detail 1 is the one-shard case: the paper's representative SM.
  *
  * Determinism argument (DESIGN.md §9): shards share no mutable state —
  * each owns a private SmCore and a private MemorySystem carrying the
- * same 1/k capacity and bandwidth shares the legacy single-SM model
- * used — so a shard's cycle-by-cycle evolution depends only on its own
- * state, never on scheduling. The two reductions that cross shards are
- * both ordered: the epoch-boundary ledger drain walks shards in
- * SM-index order, and the final activity merge folds per-shard samples
- * onto the 500-cycle interval grid in the same order. Thread count
- * therefore cannot change any output bit; it only changes which thread
- * advances which shard.
+ * same 1/k capacity and bandwidth shares — so a shard's cycle-by-cycle
+ * evolution depends only on its own state, never on scheduling. The
+ * one reduction that crosses shards, the sample merge, runs on the
+ * calling thread after every shard is done and sums shards in SM-index
+ * order. Thread count therefore cannot change any output bit; it only
+ * changes which thread advances which shard.
  */
 #pragma once
 
@@ -36,12 +34,10 @@ struct ShardPlan
 ShardPlan planShards(int activeSms, int detail);
 
 /**
- * Run one kernel on `detail` shards with the epoch-synced engine and
- * return the ordered-merged activity stream. `shape`/`freqGhz` are the
- * resolved launch mapping and clock; `stats` receives the execution
- * statistics (shape, per-epoch per-shard busy time, drained traffic).
- * Requires detail >= 2 (the detail == 1 path is GpuSimulator::run's
- * legacy loop, kept byte-identical to the pre-shard simulator).
+ * Run one kernel on `detail` shards and return the merged activity
+ * stream. `shape`/`freqGhz` are the resolved launch mapping and clock;
+ * `stats` receives the execution statistics. Also flushes the run's
+ * `sim.*` counters into the metrics registry.
  */
 KernelActivity runShardedSim(const GpuConfig &gpu,
                              const KernelDescriptor &desc,
