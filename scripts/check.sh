@@ -267,7 +267,7 @@ service_leg() {
     # Then the same seeded fault traffic hits both, and both must
     # survive it, drain cleanly on SIGTERM exactly like the
     # plain-config daemon, and leave nothing in the memo directory but
-    # published entries.
+    # their packs.
     echo "== service: eliminator leg (coalescing + shared memo, 2 daemons)"
     local memodir="${dir}/awd.shared-memo"
     local port_a="${dir}/awd-a.port" port_b="${dir}/awd-b.port"
@@ -285,7 +285,8 @@ service_leg() {
     AW_FAULTS="${service_chaos_spec}" "${dir}/examples/awd_client" \
         --port-file "${port_a}" --count 20 --chaos
     # awd_client cycles through 4 kernels, and A's smoke run published
-    # all of them: a clean pass over them on B is 4 shared-memo hits.
+    # all of them to its pack: a clean pass over them on B, which finds
+    # that pack on its misses, is 4 shared-memo hits.
     "${dir}/examples/awd_client" --port-file "${port_b}" --count 4
     local counters
     counters=$("${dir}/examples/awd_client" --port-file "${port_b}" \
@@ -310,10 +311,11 @@ service_leg() {
              "(expected clean 0/0)" >&2
         return 1
     fi
-    # Every store either published <hash>.json or removed its own lock:
-    # any other name (a `.lock` or a `.tmp*` file) is a leaked store.
+    # Each daemon appends every store to one pack of its own,
+    # pack-<pid>-<16 hex digits>: any other name (a temp file, a lock) is
+    # something a store left behind.
     local stray
-    stray=$(ls -A "${memodir}" | grep -Ev '^[0-9a-f]{16}\.json$' || true)
+    stray=$(ls -A "${memodir}" | grep -Ev '^pack-[0-9]+-[0-9a-f]{16}$' || true)
     if [[ -n "${stray}" ]]; then
         echo "error: shared memo holds leftovers of a store:" \
              "${stray//$'\n'/ }" >&2

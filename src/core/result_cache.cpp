@@ -1,14 +1,20 @@
 #include "core/result_cache.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <dirent.h>
 #include <fcntl.h>
 #include <filesystem>
+#include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <sstream>
 #include <sys/stat.h>
-#include <thread>
 #include <unistd.h>
+#include <unordered_map>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -285,6 +291,557 @@ describeSimOptions(const SimOptions &o)
     return os.str();
 }
 
+// --- pack files --------------------------------------------------------------
+
+namespace {
+
+/** Record framing; result_cache.hpp ("Layout") documents it. */
+constexpr char kRecordMagic[4] = {'A', 'W', 'R', '1'};
+constexpr size_t kHeaderBytes = 24;
+
+/**
+ * A directory whose mtime lies within this much of the clock at which it
+ * was listed may change again within the same tick of the filesystem's
+ * clock without its mtime moving, so such a listing is repeated on the
+ * next miss rather than trusted.
+ */
+constexpr int64_t kRacyListingNs = 100'000'000;
+
+struct RecordHeader
+{
+    uint32_t length = 0; ///< envelope bytes after the header
+    uint64_t keyHash = 0;
+    uint64_t stamp = 0;
+};
+
+/** One index entry: where a record lives. No heap behind it. */
+struct PackRecord
+{
+    uint64_t keyHash;
+    uint64_t stamp;
+    uint64_t offset; ///< of the record's header within its pack
+    uint32_t length; ///< envelope bytes
+    uint32_t pack;   ///< slot in PackDir::packs_
+};
+static_assert(sizeof(PackRecord) == 32);
+
+void
+putLe(char *p, uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        p[i] = static_cast<char>(v >> (8 * i));
+}
+
+uint64_t
+getLe(const char *p, int bytes)
+{
+    uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i)
+        v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i]))
+             << (8 * i);
+    return v;
+}
+
+void
+encodeHeader(char *out, const RecordHeader &h)
+{
+    std::memcpy(out, kRecordMagic, sizeof kRecordMagic);
+    putLe(out + 4, h.length, 4);
+    putLe(out + 8, h.keyHash, 8);
+    putLe(out + 16, h.stamp, 8);
+}
+
+/** False on a bad magic. */
+bool
+decodeHeader(const char *in, RecordHeader &h)
+{
+    if (std::memcmp(in, kRecordMagic, sizeof kRecordMagic) != 0)
+        return false;
+    h.length = static_cast<uint32_t>(getLe(in + 4, 4));
+    h.keyHash = getLe(in + 8, 8);
+    h.stamp = getLe(in + 16, 8);
+    return true;
+}
+
+int64_t
+realtimeNs()
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::system_clock::now().time_since_epoch())
+        .count();
+}
+
+/** All `n` bytes at `offset`, or false. */
+bool
+preadFull(int fd, char *buf, size_t n, uint64_t offset)
+{
+    size_t done = 0;
+    while (done < n) {
+        const ssize_t got = ::pread(fd, buf + done, n - done,
+                                    static_cast<off_t>(offset + done));
+        if (got > 0)
+            done += static_cast<size_t>(got);
+        else if (got == 0 || errno != EINTR)
+            return false;
+    }
+    return true;
+}
+
+bool
+pwriteFull(int fd, const char *buf, size_t n, uint64_t offset)
+{
+    size_t done = 0;
+    while (done < n) {
+        const ssize_t put = ::pwrite(fd, buf + done, n - done,
+                                     static_cast<off_t>(offset + done));
+        if (put > 0)
+            done += static_cast<size_t>(put);
+        else if (put == 0 || errno != EINTR)
+            return false;
+    }
+    return true;
+}
+
+/** One pack file as this process sees it. */
+struct Pack
+{
+    std::string name;   ///< file name inside the directory
+    ino_t inode = 0;    ///< with the name, what identifies the pack
+    int fd = -1;        ///< read-write for the writer, read-only otherwise
+    pid_t writer = 0;   ///< the process that appends to it; 0 if foreign
+    uint64_t end = 0;   ///< bytes indexed: where the next append or scan starts
+    bool stuck = false; ///< a bad magic ended its scan for good
+    std::atomic<bool> vanished{false};
+
+    Pack() = default;
+    Pack(const Pack &) = delete;
+    Pack &operator=(const Pack &) = delete;
+    ~Pack()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
+
+    /** Appends go through this process (a forked child's parent pack
+     *  is foreign to the child). */
+    bool own() const { return writer == ::getpid(); }
+};
+
+/**
+ * Index the complete records of `p` between p.end and `size`, reading
+ * headers only, into `out`. A record that runs past `size` is a tail
+ * still being written: the scan stops there and resumes on a later
+ * call. A bad magic ends the scan of `p` for good.
+ */
+void
+scanPack(const std::string &dir, Pack &p, uint64_t size,
+         std::vector<PackRecord> &out, uint32_t slot)
+{
+    constexpr uint64_t kChunk = 64 * 1024;
+    std::string buf;
+    uint64_t bufAt = 0;
+    uint64_t pos = p.end;
+    while (!p.stuck && pos + kHeaderBytes <= size) {
+        if (pos < bufAt || pos + kHeaderBytes > bufAt + buf.size()) {
+            buf.resize(static_cast<size_t>(std::min(kChunk, size - pos)));
+            if (!preadFull(p.fd, buf.data(), buf.size(), pos))
+                break;
+            bufAt = pos;
+        }
+        RecordHeader h;
+        if (!decodeHeader(buf.data() + (pos - bufAt), h)) {
+            warn("result cache: bad record magic in %s/%s at offset %llu; "
+                 "ignoring the rest of that pack",
+                 dir.c_str(), p.name.c_str(),
+                 static_cast<unsigned long long>(pos));
+            obs::metrics().counter("cache.corrupt").add(1);
+            p.stuck = true;
+            break;
+        }
+        const uint64_t next = pos + kHeaderBytes + h.length;
+        if (next > size)
+            break;
+        out.push_back({h.keyHash, h.stamp, pos, h.length, slot});
+        pos = next;
+    }
+    p.end = pos;
+}
+
+/** Start of a key hash's probe sequence in a table of mask + 1 slots. */
+size_t
+home(uint64_t keyHash, size_t mask)
+{
+    return static_cast<size_t>(keyHash ^ (keyHash >> 29)) & mask;
+}
+
+} // namespace
+
+/**
+ * The process-wide index of one cache directory: every pack in it, and
+ * one fixed-size PackRecord per indexed record in an open-addressing
+ * table keyed by the key hash. Lock order: writeMu_, refreshMu_,
+ * indexMu_.
+ */
+class PackDir
+{
+  public:
+    /** A record that may hold a key, and the pack that holds it: the
+     *  reference keeps the pack's fd open while a reader preads it
+     *  outside the lock, even if a re-list drops the pack meanwhile. */
+    struct Candidate
+    {
+        PackRecord rec;
+        std::shared_ptr<Pack> pack;
+    };
+
+    /** The index of `dir`, created on first use and leaked on purpose,
+     *  like ResultCache::instance(). */
+    static PackDir &of(const std::string &dir);
+
+    explicit PackDir(std::string dir) : dir_(std::move(dir)) {}
+
+    /** Re-list the directory: drop the records of packs that vanished,
+     *  index new ones, keep the rest. */
+    void relist()
+    {
+        std::lock_guard<std::mutex> lock(refreshMu_);
+        relistLocked();
+    }
+
+    /** The records hashed like `keyHash`, newest first: the greatest
+     *  (stamp, pack name, offset) leads. */
+    void candidates(uint64_t keyHash, std::vector<Candidate> &out);
+
+    /** Header and envelope of `c` into `buf`; false when the pack ends
+     *  first. */
+    bool read(const Candidate &c, std::string &buf) const
+    {
+        buf.resize(kHeaderBytes + c.rec.length);
+        return preadFull(c.pack->fd, buf.data(), buf.size(), c.rec.offset);
+    }
+
+    /** Forget `c`; the bytes stay in its pack. */
+    void drop(const Candidate &c);
+
+    /** After a miss: pick up packs other processes created and records
+     *  they appended since the last look. */
+    void refresh();
+
+    /** Append `record` (kHeaderBytes reserved, then the envelope) to
+     *  this process's pack, filling in its header. */
+    bool append(uint64_t keyHash, std::string &record);
+
+    /** "<dir>/<pack> at offset <n>", for warnings. */
+    std::string where(const Candidate &c) const
+    {
+        return dir_ + "/" + c.pack->name + " at offset " +
+               std::to_string(c.rec.offset);
+    }
+
+  private:
+    static constexpr uint32_t kDropped = UINT32_MAX;
+
+    void relistLocked();
+    bool openWriterLocked();
+    void insertLocked(const PackRecord &r);
+    void rebuildLocked();
+    void placeLocked(size_t record);
+
+    const std::string dir_;
+
+    std::shared_mutex indexMu_; ///< packs_, records_, slots_
+    /** Null once vanished. Written under refreshMu_ and indexMu_ both,
+     *  so either one guards a read. */
+    std::vector<std::shared_ptr<Pack>> packs_;
+    std::vector<PackRecord> records_;
+    std::vector<uint32_t> slots_; ///< record index + 1; 0 is empty
+
+    std::mutex refreshMu_; ///< listing state; one refresh at a time
+    bool listed_ = false;
+    struct stat dirStat_{}; ///< zeroed when the listing failed
+    int64_t listedAtNs_ = 0;
+
+    std::mutex writeMu_; ///< writer_, writerSlot_, lastStamp_, appends
+    std::shared_ptr<Pack> writer_;
+    uint32_t writerSlot_ = 0;
+    uint64_t lastStamp_ = 0;
+    bool warnedCreate_ = false;
+};
+
+PackDir &
+PackDir::of(const std::string &dir)
+{
+    static auto *mu = new std::mutex;
+    static auto *dirs =
+        new std::unordered_map<std::string, std::unique_ptr<PackDir>>;
+    std::lock_guard<std::mutex> lock(*mu);
+    std::unique_ptr<PackDir> &slot = (*dirs)[dir];
+    if (!slot)
+        slot = std::make_unique<PackDir>(dir);
+    return *slot;
+}
+
+void
+PackDir::candidates(uint64_t keyHash, std::vector<Candidate> &out)
+{
+    out.clear();
+    {
+        std::shared_lock<std::shared_mutex> index(indexMu_);
+        if (slots_.empty())
+            return;
+        const size_t mask = slots_.size() - 1;
+        for (size_t i = home(keyHash, mask); slots_[i]; i = (i + 1) & mask) {
+            const PackRecord &r = records_[slots_[i] - 1];
+            if (r.keyHash == keyHash && r.pack != kDropped && packs_[r.pack])
+                out.push_back({r, packs_[r.pack]});
+        }
+    }
+    std::sort(out.begin(), out.end(),
+              [](const Candidate &a, const Candidate &b) {
+                  if (a.rec.stamp != b.rec.stamp)
+                      return a.rec.stamp > b.rec.stamp;
+                  if (a.pack != b.pack)
+                      return a.pack->name > b.pack->name;
+                  return a.rec.offset > b.rec.offset;
+              });
+}
+
+void
+PackDir::drop(const Candidate &c)
+{
+    std::unique_lock<std::shared_mutex> index(indexMu_);
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = home(c.rec.keyHash, mask); slots_[i]; i = (i + 1) & mask) {
+        PackRecord &r = records_[slots_[i] - 1];
+        if (r.pack == c.rec.pack && r.offset == c.rec.offset) {
+            r.pack = kDropped;
+            return;
+        }
+    }
+}
+
+void
+PackDir::placeLocked(size_t record)
+{
+    const size_t mask = slots_.size() - 1;
+    size_t i = home(records_[record].keyHash, mask);
+    while (slots_[i])
+        i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(record + 1);
+}
+
+void
+PackDir::rebuildLocked()
+{
+    records_.erase(std::remove_if(records_.begin(), records_.end(),
+                                  [&](const PackRecord &r) {
+                                      return r.pack == kDropped ||
+                                             !packs_[r.pack];
+                                  }),
+                   records_.end());
+    size_t n = 64;
+    while (n < 2 * (records_.size() + 1))
+        n *= 2;
+    slots_.assign(n, 0);
+    for (size_t r = 0; r < records_.size(); ++r)
+        placeLocked(r);
+}
+
+void
+PackDir::insertLocked(const PackRecord &r)
+{
+    if (2 * (records_.size() + 1) > slots_.size())
+        rebuildLocked();
+    records_.push_back(r);
+    placeLocked(records_.size() - 1);
+}
+
+void
+PackDir::relistLocked()
+{
+    struct Listed
+    {
+        std::string name;
+        ino_t inode;
+    };
+    std::vector<Listed> listed;
+    listed_ = true;
+    dirStat_ = {};
+    listedAtNs_ = realtimeNs();
+    if (DIR *d = ::opendir(dir_.c_str())) {
+        // The mtime is read before the entries, so a change made while
+        // they are read moves it past what is recorded here.
+        if (::fstat(::dirfd(d), &dirStat_) != 0)
+            dirStat_ = {};
+        while (const dirent *e = ::readdir(d)) {
+            struct stat st{};
+            if (std::strncmp(e->d_name, "pack-", 5) == 0 &&
+                ::fstatat(::dirfd(d), e->d_name, &st, 0) == 0 &&
+                S_ISREG(st.st_mode))
+                listed.push_back({e->d_name, st.st_ino});
+        }
+        ::closedir(d);
+    }
+
+    // A pack is its name and its inode: a file system may hand a
+    // deleted pack's inode to the next file it creates.
+    std::vector<uint32_t> gone;
+    std::vector<const Listed *> added;
+    auto same = [](const Pack &p, const Listed &l) {
+        return p.name == l.name && p.inode == l.inode;
+    };
+    for (uint32_t s = 0; s < packs_.size(); ++s)
+        if (packs_[s] &&
+            std::none_of(listed.begin(), listed.end(),
+                         [&](const Listed &l) { return same(*packs_[s], l); }))
+            gone.push_back(s);
+    for (const Listed &l : listed)
+        if (std::none_of(packs_.begin(), packs_.end(),
+                         [&](const std::shared_ptr<Pack> &p) {
+                             return p && same(*p, l);
+                         }))
+            added.push_back(&l);
+
+    std::vector<std::shared_ptr<Pack>> opened;
+    std::vector<PackRecord> records;
+    const auto firstSlot = static_cast<uint32_t>(packs_.size());
+    for (const Listed *l : added) {
+        const std::string path = dir_ + "/" + l->name;
+        const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+        struct stat st{};
+        if (fd < 0)
+            continue;
+        auto p = std::make_shared<Pack>();
+        p->name = l->name;
+        p->fd = fd;
+        if (::fstat(fd, &st) != 0)
+            continue;
+        p->inode = st.st_ino;
+        scanPack(dir_, *p, static_cast<uint64_t>(st.st_size), records,
+                 firstSlot + static_cast<uint32_t>(opened.size()));
+        opened.push_back(std::move(p));
+    }
+
+    std::unique_lock<std::shared_mutex> index(indexMu_);
+    for (uint32_t s : gone) {
+        packs_[s]->vanished.store(true);
+        packs_[s] = nullptr;
+    }
+    for (auto &p : opened)
+        packs_.push_back(std::move(p));
+    for (const PackRecord &r : records)
+        insertLocked(r);
+    if (!gone.empty())
+        rebuildLocked();
+}
+
+void
+PackDir::refresh()
+{
+    std::lock_guard<std::mutex> lock(refreshMu_);
+    struct stat st{};
+    const auto ns = [](const timespec &t) {
+        return static_cast<int64_t>(t.tv_sec) * 1'000'000'000 + t.tv_nsec;
+    };
+    const bool relist =
+        !listed_ || ::stat(dir_.c_str(), &st) != 0 ||
+        st.st_dev != dirStat_.st_dev || st.st_ino != dirStat_.st_ino ||
+        ns(st.st_mtim) != ns(dirStat_.st_mtim) ||
+        ns(dirStat_.st_mtim) + kRacyListingNs > listedAtNs_;
+    if (relist)
+        relistLocked();
+
+    // Growth of the packs other processes append to.
+    std::vector<PackRecord> records;
+    for (uint32_t slot = 0; slot < packs_.size(); ++slot) {
+        Pack *p = packs_[slot].get();
+        struct stat ps{};
+        if (p && !p->own() && !p->stuck && ::fstat(p->fd, &ps) == 0 &&
+            static_cast<uint64_t>(ps.st_size) > p->end)
+            scanPack(dir_, *p, static_cast<uint64_t>(ps.st_size), records,
+                     slot);
+    }
+    if (!records.empty()) {
+        std::unique_lock<std::shared_mutex> index(indexMu_);
+        for (const PackRecord &r : records)
+            if (packs_[r.pack])
+                insertLocked(r);
+    }
+}
+
+bool
+PackDir::openWriterLocked()
+{
+    std::lock_guard<std::mutex> lock(refreshMu_);
+    std::error_code ec;
+    fs::create_directories(dir_, ec);
+    const pid_t pid = ::getpid();
+    int err = 0;
+    for (uint64_t attempt = 0; attempt < 4; ++attempt) {
+        const std::string name =
+            "pack-" + std::to_string(pid) + "-" +
+            hex16(splitmix64(static_cast<uint64_t>(realtimeNs()) ^
+                             (static_cast<uint64_t>(pid) << 32) ^ attempt));
+        const int fd = ::open((dir_ + "/" + name).c_str(),
+                              O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+        if (fd < 0) {
+            err = errno;
+            if (err == EEXIST)
+                continue;
+            break;
+        }
+        auto p = std::make_shared<Pack>();
+        p->name = name;
+        p->fd = fd;
+        p->writer = pid;
+        struct stat st{};
+        if (::fstat(fd, &st) == 0)
+            p->inode = st.st_ino;
+        std::unique_lock<std::shared_mutex> index(indexMu_);
+        writerSlot_ = static_cast<uint32_t>(packs_.size());
+        packs_.push_back(p);
+        writer_ = std::move(p);
+        return true;
+    }
+    if (!warnedCreate_)
+        warn("result cache: cannot create a pack in %s (%s); stores there "
+             "are skipped",
+             dir_.c_str(), std::strerror(err));
+    warnedCreate_ = true;
+    return false;
+}
+
+bool
+PackDir::append(uint64_t keyHash, std::string &record)
+{
+    const auto length = static_cast<uint32_t>(record.size() - kHeaderBytes);
+    std::lock_guard<std::mutex> lock(writeMu_);
+    // A forked child inherits its parent's writer and must not append
+    // to it; a pack that vanished takes its appends with it.
+    if (!writer_ || !writer_->own() || writer_->vanished.load()) {
+        writer_.reset();
+        if (!openWriterLocked())
+            return false;
+    }
+    Pack &p = *writer_;
+    const uint64_t stamp =
+        std::max(static_cast<uint64_t>(realtimeNs()), lastStamp_ + 1);
+    encodeHeader(record.data(), {length, keyHash, stamp});
+    if (!pwriteFull(p.fd, record.data(), record.size(), p.end)) {
+        warn("result cache: cannot append to %s/%s (%s); the next store "
+             "opens a new pack",
+             dir_.c_str(), p.name.c_str(), std::strerror(errno));
+        writer_.reset();
+        return false;
+    }
+    lastStamp_ = stamp;
+    const PackRecord r{keyHash, stamp, p.end, length, writerSlot_};
+    p.end += record.size();
+    std::unique_lock<std::shared_mutex> index(indexMu_);
+    insertLocked(r);
+    return true;
+}
+
 ResultCache::ResultCache()
 {
     const char *toggle = std::getenv("AW_CACHE");
@@ -294,6 +851,7 @@ ResultCache::ResultCache()
         enabled_ = false;
     const char *dir = std::getenv("AW_CACHE_DIR");
     dir_ = dir && *dir ? dir : "results/cache";
+    packs_ = &PackDir::of(dir_);
 }
 
 ResultCache &
@@ -309,22 +867,9 @@ void
 ResultCache::configure(std::string directory)
 {
     dir_ = std::move(directory);
-}
-
-namespace {
-
-std::string
-entryPathIn(const std::string &dir, const std::string &key)
-{
-    return dir + "/" + hex16(fnv1a64(key)) + ".json";
-}
-
-} // namespace
-
-std::string
-ResultCache::pathFor(const std::string &key) const
-{
-    return entryPathIn(dir_, key);
+    PackDir &packs = PackDir::of(dir_);
+    packs.relist();
+    packs_.store(&packs);
 }
 
 namespace {
@@ -346,283 +891,177 @@ numberFromText(std::string_view text, double &out)
     }
 }
 
-/** Read the whole file at `path` with one open, an fstat for its size
- *  and one read; false when it cannot be opened. */
-bool
-readWholeFile(const std::string &path, std::string &out)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return false;
-    struct stat st{};
-    const size_t size =
-        ::fstat(fd, &st) == 0 ? static_cast<size_t>(st.st_size) : 0;
-    out.resize(size);
-    size_t done = 0;
-    while (done < size) {
-        const ssize_t n = ::read(fd, out.data() + done, size - done);
-        if (n > 0)
-            done += static_cast<size_t>(n);
-        else if (n == 0 || errno != EINTR)
-            break;
-    }
-    ::close(fd);
-    out.resize(done);
-    return true;
-}
-
 /**
- * Shared fetch. Reads the entry once and walks it in the order
- * storeEntryIn writes it — schema, kind, key, vcrc, value — judging it
- * by its first defect:
- *   - another schema: removed silently (the writer will replace it);
- *   - another kind or key: an FNV collision or a foreign file named
- *     like our hash, warned about and kept. Checked before the
- *     integrity gates, so a foreign entry is never removed as "ours
- *     but damaged";
- *   - any other departure from the written layout: corrupt, removed;
+ * Shared fetch. Tries the key's records newest first and walks each in
+ * the order storeEntryIn writes it — schema, kind, key, vcrc, value —
+ * judging it by its first defect:
+ *   - another schema: dropped from the index silently;
+ *   - another kind or key: an FNV collision, warned about and skipped.
+ *     Checked before the integrity gates, so a foreign record is never
+ *     dropped as "ours but damaged";
+ *   - a record cut short by the end of its pack, a header that no
+ *     longer matches the index, or any other departure from the
+ *     written layout: corrupt, dropped;
  *   - value text whose FNV-1a differs from vcrc: torn (and corrupt),
- *     removed. A payload truncated or bit-flipped by an interrupted
- *     write can still decode; the checksum convicts it regardless.
+ *     dropped. A payload cut or bit-flipped by an interrupted write can
+ *     still decode; the checksum convicts it regardless.
  * The verified value text, exactly the bytes the writer checksummed,
  * then goes to `decode(std::string_view) -> bool`; text it cannot read
- * is corrupt and removed. Every false return counts a miss.
+ * is corrupt and dropped. The first record that passes answers. When
+ * none does, the index picks up what other processes stored since it
+ * last looked, and the key's records not tried yet are tried: this
+ * refresh or another thread's may have indexed them. One fetch counts
+ * one hit or one miss.
  */
 template <typename Decode>
 bool
-fetchEntryIn(const std::string &dir, const std::string &key,
-             const char *kind, Decode &&decode)
+fetchEntryIn(PackDir &packs, const std::string &key, const char *kind,
+             Decode &&decode)
 {
     auto &reg = obs::metrics();
-    const std::string path = entryPathIn(dir, key);
-    auto miss = [&] {
-        reg.counter("cache.misses").add(1);
-        return false;
-    };
-    auto remove = [&] {
-        std::error_code ec;
-        fs::remove(path, ec);
-    };
-    auto corrupt = [&](const char *what) {
-        warn("result cache: %s %s; removing", what, path.c_str());
-        remove();
-        reg.counter("cache.corrupt").add(1);
-        return miss();
-    };
-
+    const uint64_t keyHash = fnv1a64(key);
     std::string text;
-    if (!readWholeFile(path, text))
-        return miss();
-    obs::JsonCursor cur{text};
-    std::string field, vcrc;
-    std::string_view value;
-    try {
-        expectLiteral(cur, "{\"schema\":");
-        if (cur.number() != kResultCacheSchemaVersion) {
-            remove(); // stale: silently discard; the writer replaces it
-            return miss();
+    auto judge = [&](const PackDir::Candidate &c) {
+        auto corrupt = [&](const char *what) {
+            warn("result cache: %s at %s; dropping it", what,
+                 packs.where(c).c_str());
+            packs.drop(c);
+            reg.counter("cache.corrupt").add(1);
+            return false;
+        };
+        RecordHeader h;
+        if (!packs.read(c, text))
+            return corrupt("record cut short");
+        if (!decodeHeader(text.data(), h) || h.length != c.rec.length ||
+            h.keyHash != keyHash)
+            return corrupt("record header changed");
+        const std::string_view entry =
+            std::string_view(text).substr(kHeaderBytes);
+        obs::JsonCursor cur{entry};
+        std::string field, vcrc;
+        std::string_view value;
+        try {
+            expectLiteral(cur, "{\"schema\":");
+            if (cur.number() != kResultCacheSchemaVersion) {
+                packs.drop(c); // stale: another build's record
+                return false;
+            }
+            expectLiteral(cur, ",\"kind\":");
+            cur.string(field);
+            const bool kindMatches = field == kind;
+            expectLiteral(cur, ",\"key\":");
+            cur.string(field);
+            if (!kindMatches || field != key) {
+                warn("result cache: key collision at %s; ignoring record",
+                     packs.where(c).c_str());
+                return false;
+            }
+            expectLiteral(cur, ",\"vcrc\":");
+            cur.string(vcrc);
+            expectLiteral(cur, ",\"value\":");
+            // The value runs to the entry's closing brace, after which
+            // only whitespace (the writer's newline) may follow.
+            const size_t close = entry.find_last_not_of(" \t\n\r");
+            if (close == std::string_view::npos || close < cur.pos ||
+                entry[close] != '}')
+                cur.die("no closing brace after the value");
+            value = entry.substr(cur.pos, close - cur.pos);
+        } catch (const obs::JsonError &) {
+            return corrupt("malformed entry");
         }
-        expectLiteral(cur, ",\"kind\":");
-        cur.string(field);
-        const bool kindMatches = field == kind;
-        expectLiteral(cur, ",\"key\":");
-        cur.string(field);
-        if (!kindMatches || field != key) {
-            warn("result cache: key collision on %s; ignoring entry",
-                 path.c_str());
-            return miss();
+        if (hex16(fnv1a64(value)) != vcrc) {
+            reg.counter("cache.torn").add(1);
+            return corrupt("torn entry (value checksum mismatch)");
         }
-        expectLiteral(cur, ",\"vcrc\":");
-        cur.string(vcrc);
-        expectLiteral(cur, ",\"value\":");
-        // The value runs to the entry's closing brace, after which only
-        // whitespace (the writer's newline) may follow.
-        const size_t close = text.find_last_not_of(" \t\n\r");
-        if (close == std::string::npos || close < cur.pos ||
-            text[close] != '}')
-            cur.die("no closing brace after the value");
-        value = std::string_view(text).substr(cur.pos, close - cur.pos);
-    } catch (const obs::JsonError &) {
-        return corrupt("malformed entry");
-    }
-    if (hex16(fnv1a64(value)) != vcrc) {
-        reg.counter("cache.torn").add(1);
-        return corrupt("torn entry (value checksum mismatch)");
-    }
-    if (!decode(value))
-        return corrupt("unreadable value in");
-    reg.counter("cache.hits").add(1);
-    return true;
-}
+        if (!decode(value))
+            return corrupt("unreadable value");
+        return true;
+    };
 
-/** A lock this old belongs to a writer that crashed mid-store. */
-constexpr double kStaleLockSec = 10.0;
-
-/**
- * The mutex that serializes this process's stores. Threads of one
- * process would otherwise create, write and rename entries in one
- * directory at once and contend for its lock inside the kernel, which
- * costs more CPU than the stores themselves; a waiter on this mutex
- * sleeps instead. Leaked on purpose, like ResultCache::instance().
- */
-std::mutex &
-storeMutex()
-{
-    static std::mutex *mu = new std::mutex;
-    return *mu;
-}
-
-/**
- * Per-entry multi-process write lock: `<hash>.json.lock` taken with
- * O_CREAT|O_EXCL, the only primitive POSIX guarantees to be atomic on
- * every filesystem. The lock file is also the entry's temp file: its
- * holder writes the payload into the returned descriptor and renames
- * the lock onto the entry, so one rename publishes the entry and
- * releases the lock. Two awd daemon workers (separate processes)
- * racing the same key serialize here instead of interleaving bytes or
- * renames. A lock older than kStaleLockSec is stolen — its owner
- * crashed mid-store and left a partial payload that no reader opens —
- * so a killed daemon can never wedge the cache. (Two writers stealing
- * one stale lock at once can both proceed; if one renames the other's
- * unfinished file into place, the reader's vcrc check convicts it.)
- * Acquisition failure is not an error: entries are content-addressed,
- * so whoever holds the lock is writing the identical bytes and the
- * loser simply skips its redundant store. Returns the descriptor with
- * `serial` (on storeMutex()) locked, or -1 with it unlocked to skip the
- * store. `serial` is never held across the backoff sleep, so a store
- * waiting out another process's lock does not stall this process's
- * other stores.
- */
-int
-acquireEntryLock(const std::string &lockPath,
-                 std::unique_lock<std::mutex> &serial)
-{
-    for (int attempt = 0; attempt < 50; ++attempt) {
-        serial.lock();
-        int fd = ::open(lockPath.c_str(), O_CREAT | O_EXCL | O_WRONLY,
-                        0666);
-        if (fd >= 0)
-            return fd;
-        const int err = errno;
-        serial.unlock();
-        if (err != EEXIST)
-            return -1;
-        if (attempt == 0)
-            obs::metrics().counter("cache.lock_contended").add(1);
-        // Steal a stale lock left by a crashed writer.
-        std::error_code ec;
-        auto mtime = fs::last_write_time(lockPath, ec);
-        if (!ec) {
-            auto age = std::chrono::duration<double>(
-                           fs::file_time_type::clock::now() - mtime)
-                           .count();
-            if (age > kStaleLockSec) {
-                warn("result cache: stealing stale lock %s (%.0fs old)",
-                     lockPath.c_str(), age);
-                fs::remove(lockPath, ec);
+    std::vector<PackDir::Candidate> cands, tried;
+    for (int pass = 0; pass < 2; ++pass) {
+        packs.candidates(keyHash, cands);
+        for (const PackDir::Candidate &c : cands) {
+            const bool seen = std::any_of(
+                tried.begin(), tried.end(), [&](const PackDir::Candidate &t) {
+                    return t.pack == c.pack && t.rec.offset == c.rec.offset;
+                });
+            if (seen)
                 continue;
+            if (judge(c)) {
+                reg.counter("cache.hits").add(1);
+                return true;
             }
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        if (pass > 0)
+            break;
+        packs.refresh();
+        tried = std::move(cands);
     }
-    obs::metrics().counter("cache.lock_skipped").add(1);
-    return -1;
+    reg.counter("cache.misses").add(1);
+    return false;
 }
 
 void
-storeEntryIn(const std::string &dir, const std::string &key,
-             const char *kind, const std::string &valueJson)
+storeEntryIn(PackDir &packs, const std::string &key, const char *kind,
+             const std::string &valueJson)
 {
-    // `value` is the last member on purpose: a truncated file loses the
+    // `value` is the last member on purpose: a cut record loses the
     // payload first, and the vcrc checksum (FNV-1a of the raw value
     // text) convicts any remains that still happen to parse.
-    std::string payload;
-    {
-        std::ostringstream os;
-        os << "{\"schema\":" << kResultCacheSchemaVersion
-           << ",\"kind\":\"" << kind << "\",\"key\":\""
-           << obs::jsonEscape(key) << "\",\"vcrc\":\""
-           << hex16(fnv1a64(valueJson)) << "\",\"value\":" << valueJson
-           << "}\n";
-        payload = os.str();
-    }
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    std::string path = entryPathIn(dir, key);
-    std::string lockPath = path + ".lock";
-    // Create, write and rename under storeMutex(); `serial` releases it
-    // on every early return. Nothing between here and close() throws,
-    // so the descriptor cannot leak.
-    std::unique_lock<std::mutex> serial(storeMutex(), std::defer_lock);
-    int fd = acquireEntryLock(lockPath, serial);
-    if (fd < 0) {
-        AW_DEBUGF("core", "result cache: store of %s skipped (lock held "
-                  "by a concurrent writer)", path.c_str());
-        return;
-    }
-    size_t done = 0;
-    while (done < payload.size()) {
-        ssize_t n = ::write(fd, payload.data() + done, payload.size() - done);
-        if (n > 0)
-            done += static_cast<size_t>(n);
-        else if (n == 0 || errno != EINTR)
-            break;
-    }
-    if (::close(fd) != 0 || done != payload.size()) {
-        warn("result cache: cannot write %s", lockPath.c_str());
-        fs::remove(lockPath, ec);
-        return;
-    }
-    // Atomic publish: a concurrent reader sees the old entry or the new
-    // one, never a torn file.
-    fs::rename(lockPath, path, ec);
-    if (ec) {
-        warn("result cache: cannot publish %s: %s", path.c_str(),
-             ec.message().c_str());
-        fs::remove(lockPath, ec);
-        return;
-    }
-    serial.unlock();
-    obs::metrics().counter("cache.writes").add(1);
+    std::string record(kHeaderBytes, '\0');
+    record += "{\"schema\":";
+    record += std::to_string(kResultCacheSchemaVersion);
+    record += ",\"kind\":\"";
+    record += kind;
+    record += "\",\"key\":\"";
+    record += obs::jsonEscape(key);
+    record += "\",\"vcrc\":\"";
+    record += hex16(fnv1a64(valueJson));
+    record += "\",\"value\":";
+    record += valueJson;
+    record += "}\n";
+    const uint64_t keyHash = fnv1a64(key);
 
-    // Fault injection: simulate a torn write (crash on a filesystem
-    // whose rename is not atomic) by truncating the published entry.
+    // Fault injection: simulate a torn write by appending the record
+    // cut short, its header framing only the bytes that remain.
     // Stateless in (chaos seed, key), so the same keys tear on every
     // run regardless of thread count — and the reader's recovery path
     // is exercised deterministically.
     FaultConfig cfg = FaultInjector::globalConfig();
-    double rate = cfg.rate(FaultClass::CacheCorrupt);
-    if (rate > 0) {
-        uint64_t salt = fnv1a64(key);
-        if (faultRoll(cfg.seed, FaultClass::CacheCorrupt, salt) < rate) {
-            double frac =
-                0.2 + 0.6 * faultRoll(cfg.seed, FaultClass::CacheCorrupt,
-                                      splitmix64(salt));
-            auto cut = static_cast<uintmax_t>(
-                static_cast<double>(payload.size()) * frac);
-            fs::resize_file(path, cut, ec);
-            obs::metrics()
-                .counter("faults.injected.cache_corrupt")
-                .add(1);
-            AW_DEBUGF("core", "fault: tore cache entry %s at %ju/%zu "
-                      "bytes", path.c_str(), cut, payload.size());
-        }
+    const double rate = cfg.rate(FaultClass::CacheCorrupt);
+    const size_t whole = record.size() - kHeaderBytes;
+    bool torn = false;
+    if (rate > 0 &&
+        faultRoll(cfg.seed, FaultClass::CacheCorrupt, keyHash) < rate) {
+        const double frac =
+            0.2 + 0.6 * faultRoll(cfg.seed, FaultClass::CacheCorrupt,
+                                  splitmix64(keyHash));
+        record.resize(kHeaderBytes +
+                      static_cast<size_t>(static_cast<double>(whole) * frac));
+        torn = true;
+    }
+    if (!packs.append(keyHash, record))
+        return;
+    obs::metrics().counter("cache.writes").add(1);
+    if (torn) {
+        obs::metrics().counter("faults.injected.cache_corrupt").add(1);
+        AW_DEBUGF("core", "fault: tore cache record of %s at %zu/%zu bytes",
+                  key.c_str(), record.size() - kHeaderBytes, whole);
     }
 }
 
 } // namespace
 
-std::string
-FileEntryStore::pathFor(const std::string &key) const
-{
-    return entryPathIn(dir_, key);
-}
+FileEntryStore::FileEntryStore(std::string directory)
+    : dir_(std::move(directory)), packs_(&PackDir::of(dir_))
+{}
 
 bool
 FileEntryStore::fetchText(const std::string &key, const char *kind,
                           std::string &valueOut)
 {
-    return fetchEntryIn(dir_, key, kind, [&](std::string_view value) {
+    return fetchEntryIn(*packs_, key, kind, [&](std::string_view value) {
         valueOut.assign(value);
         return true;
     });
@@ -632,7 +1071,7 @@ void
 FileEntryStore::storeText(const std::string &key, const char *kind,
                           const std::string &valueJson)
 {
-    storeEntryIn(dir_, key, kind, valueJson);
+    storeEntryIn(*packs_, key, kind, valueJson);
 }
 
 bool
@@ -640,7 +1079,7 @@ ResultCache::fetchPower(const std::string &key, double &out)
 {
     if (!enabled())
         return false;
-    return fetchEntryIn(directory(), key, "power",
+    return fetchEntryIn(*packs_.load(), key, "power",
                         [&](std::string_view value) {
                             return numberFromText(value, out);
                         });
@@ -651,7 +1090,7 @@ ResultCache::storePower(const std::string &key, double value)
 {
     if (!enabled())
         return;
-    storeEntryIn(directory(), key, "power", num(value));
+    storeEntryIn(*packs_.load(), key, "power", num(value));
 }
 
 bool
@@ -659,7 +1098,7 @@ ResultCache::fetchActivity(const std::string &key, KernelActivity &out)
 {
     if (!enabled())
         return false;
-    return fetchEntryIn(directory(), key, "activity",
+    return fetchEntryIn(*packs_.load(), key, "activity",
                         [&](std::string_view value) {
                             return activityFromJson(value, out);
                         });
@@ -670,7 +1109,7 @@ ResultCache::storeActivity(const std::string &key, const KernelActivity &act)
 {
     if (!enabled())
         return;
-    storeEntryIn(directory(), key, "activity", activityToJson(act));
+    storeEntryIn(*packs_.load(), key, "activity", activityToJson(act));
 }
 
 namespace {

@@ -13,44 +13,67 @@
  * when the meaning of a stored value changes and every old entry is
  * ignored.
  *
- * Layout: one JSON file per entry, `<fnv1a64-hex16>.json`, inside
- * $AW_CACHE_DIR (default `results/cache/`). Files carry the full
- * human-readable key string, so hash collisions are detected (not just
- * assumed away) and entries are self-describing. A store creates one
- * file: it takes the per-entry `<hash>.json.lock` with O_CREAT|O_EXCL,
- * writes the entry into that lock file and renames it onto
- * `<hash>.json`, so the one rename both publishes the entry and
- * releases the lock. Two `awd` workers — or two whole daemon processes
- * sharing one cache directory — can never interleave bytes of the same
- * entry; a writer that cannot take the lock skips the store (entries
- * are content-addressed, so the winner wrote the same bytes). A writer
- * that crashes mid-store leaves only its `.lock`, holding a partial
- * payload that no reader opens; the next store steals it once it is
- * 10 s old. Readers never observe a torn entry; on top of the schema
- * check, each entry stores an FNV-1a checksum of its value payload
- * (`vcrc`) and a truncated or bit-flipped payload — e.g. a torn write
- * that survived a crash mid-rename on a non-atomic filesystem — is
- * rejected even when the remains still parse as JSON.
- * A corrupt file is warned about, removed, and treated as a miss.
- * `AW_CACHE=off` disables the cache entirely.
+ * Layout: each process that stores into a directory ($AW_CACHE_DIR,
+ * default `results/cache/`) appends to one pack file of its own,
+ * `pack-<pid>-<nonce>` (the nonce is 16 hex digits), created with
+ * O_CREAT|O_EXCL on its first store there; other files in the directory
+ * are ignored. A pack is a sequence of records, each a 24-byte header
+ * and then the entry's envelope:
  *
- * Reads build no JSON tree. A fetch reads the file with one open, an
- * fstat and one read, and walks the envelope in the order a store
- * writes it: schema, kind, key, vcrc, value. It judges the entry by its first
- * defect — another schema is removed silently, another kind or key is a
- * collision (warned about, kept), any other departure from the written
- * layout is corrupt (removed) — then checks vcrc on the raw value text
- * and decodes that text in place: a power is one number that must fill
- * it, an activity goes through the text activityFromJson. Numbers are
- * parsed with std::from_chars, which rounds correctly as strtod does;
- * that is safe because only this program's jsonNumber wrote them, and
- * the checksum has already vouched for the bytes.
+ *   bytes 0-3    magic "AWR1"
+ *   bytes 4-7    envelope length, little-endian
+ *   bytes 8-15   fnv1a64(key), little-endian
+ *   bytes 16-23  store stamp, little-endian: nanoseconds since the Unix
+ *                epoch, strictly increasing within a pack
+ *   envelope     {"schema":3,"kind":"<kind>","key":"<key>",
+ *                "vcrc":"<hex16>","value":<value>} and a newline
+ *
+ * A store is one pwrite under a per-directory mutex, so threads never
+ * interleave bytes and processes never share a pack; a process compares
+ * getpid() with its pack's creator before appending, so a forked child
+ * opens a pack of its own. The envelope carries the full key, so hash
+ * collisions are detected (not just assumed away), and an FNV-1a
+ * checksum of its value text (`vcrc`), so a record cut or bit-flipped
+ * by a crash mid-write is rejected even when its remains still parse.
+ *
+ * Index: one per directory per process, shared by every user that names
+ * the directory with the same string, holding a fixed-size entry (key
+ * hash, pack, offset, length, stamp) per record. A scan reads headers
+ * only; a record that runs past the end of its pack is a tail still
+ * being written, and a later scan resumes there; a bad magic ends the
+ * scan of that pack with a warning and a `cache.corrupt` count.
+ * configure() re-lists the directory: packs that vanished (a pack is
+ * its name and its inode) lose their records, new packs are scanned,
+ * and an unchanged pack set keeps its index. A miss looks again with
+ * one stat of the directory and one fstat per foreign pack, so
+ * processes sharing a directory (awd and the CLI, or two daemons) see
+ * each other's stores; a hit answers from what the index already holds.
+ * When a key has several records, the newest valid one answers: the
+ * greatest (stamp, pack name, offset), so a re-store supersedes what it
+ * replaces (the awd shared memo re-stores a key once its negative entry
+ * expires). There is no compaction: dead and duplicate records stay in
+ * their packs.
+ *
+ * Reads build no JSON tree and take no lock across I/O. A fetch looks
+ * the key up under a shared lock, then preads each candidate record,
+ * newest first, and walks its envelope in the order a store writes it:
+ * schema, kind, key, vcrc, value. It judges the record by its first
+ * defect — another schema is dropped from the index silently, another
+ * kind or key is a collision (warned about, skipped), any other
+ * departure from the written layout is corrupt (warned about, dropped
+ * from the index, counted in `cache.corrupt`) — then checks vcrc on the
+ * raw value text and decodes that text in place: a power is one number
+ * that must fill it, an activity goes through the text
+ * activityFromJson. Numbers are parsed with std::from_chars, which
+ * rounds correctly as strtod does; that is safe because only this
+ * program's jsonNumber wrote them, and the checksum has already vouched
+ * for the bytes. `AW_CACHE=off` disables the cache entirely.
  *
  * Fault injection: with a `cache_corrupt` rate configured (AW_FAULTS),
- * stores deterministically tear a fraction of entries after the
- * publish, exercising exactly that recovery path. Fault-injected runs
- * also suffix every key with the canonical fault spec, so chaos
- * campaigns never pollute the clean cache (and vice versa).
+ * stores deterministically append a fraction of records cut short,
+ * exercising exactly that recovery path. Fault-injected runs also
+ * suffix every key with the canonical fault spec, so chaos campaigns
+ * never pollute the clean cache (and vice versa).
  *
  * Doubles are serialized with obs::jsonNumber (shortest form that
  * round-trips exactly), so a warm-cache run is bit-identical to the
@@ -81,8 +104,9 @@
 namespace aw {
 
 /** Bump to invalidate every existing cache entry.
- *  v2: entries carry a `vcrc` value checksum (torn-write detection). */
-constexpr int kResultCacheSchemaVersion = 2;
+ *  v2: entries carry a `vcrc` value checksum (torn-write detection).
+ *  v3: entries are records in per-writer pack files. */
+constexpr int kResultCacheSchemaVersion = 3;
 
 /** FNV-1a 64-bit hash of a byte string (the cache's content address). */
 uint64_t fnv1a64(std::string_view s);
@@ -112,6 +136,8 @@ bool activityFromJson(const obs::JsonValue &v, KernelActivity &out);
 std::string describeGpuConfig(const GpuConfig &g);
 std::string describeSimOptions(const SimOptions &o);
 
+class PackDir;
+
 /** Process-wide handle to the on-disk cache. */
 class ResultCache
 {
@@ -121,8 +147,11 @@ class ResultCache
     bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
     const std::string &directory() const { return dir_; }
 
-    /** Redirect the cache (benches/tests). Does not create the
-     *  directory until the first store. */
+    /** Redirect the cache (benches/tests) and re-list the directory:
+     *  the records of packs that vanished are dropped, new packs are
+     *  indexed, and an unchanged pack set keeps its index. Does not
+     *  create the directory until the first store. Not safe while
+     *  other threads fetch or store. */
     void configure(std::string directory);
 
     /** Switch the cache on or off. Safe while other threads fetch and
@@ -137,56 +166,52 @@ class ResultCache
     bool fetchActivity(const std::string &key, KernelActivity &out);
     void storeActivity(const std::string &key, const KernelActivity &act);
 
-    /** Path the given key maps to (for tests and diagnostics). */
-    std::string pathFor(const std::string &key) const;
-
   private:
     ResultCache();
 
     std::atomic<bool> enabled_{true};
     std::string dir_;
+    std::atomic<PackDir *> packs_{nullptr};
 };
 
 /**
- * A standalone file-per-entry store sharing the result cache's on-disk
- * machinery — `<fnv1a64-hex16>.json` naming, a per-entry `.lock` file
- * that is also the temp file renamed into place on publish, schema /
- * key-collision / vcrc torn-write checks — but rooted at an arbitrary
- * directory and carrying opaque value text instead of typed payloads.
- * This is the cross-process tier of the awd estimator memo: K daemons
- * pointed at one directory converge to a single cache, and a reader can
- * never observe a torn entry (it is detected, removed, and recomputed).
- * Like the result cache, the store never evicts: an entry is removed
- * only when a reader convicts it. Fault injection (cache_corrupt)
- * applies to stores here too.
+ * A standalone store on the result cache's pack machinery — one
+ * append-only pack per writer process, the shared per-directory index,
+ * schema / key-collision / vcrc torn-write checks, newest record wins —
+ * rooted at an arbitrary directory and carrying opaque value text
+ * instead of typed payloads. This is the cross-process tier of the awd
+ * estimator memo: K daemons pointed at one directory converge to a
+ * single cache (a miss picks up the packs and records the others wrote
+ * since), and a reader never trusts a torn record (it is detected,
+ * dropped, and recomputed). Every store and the result cache that name
+ * a directory by the same string share one index. Like the result
+ * cache, the store never compacts: a record leaves the index only when
+ * a reader convicts it or its pack vanishes. Fault injection
+ * (cache_corrupt) applies to stores here too.
  */
 class FileEntryStore
 {
   public:
-    explicit FileEntryStore(std::string directory)
-        : dir_(std::move(directory))
-    {}
+    explicit FileEntryStore(std::string directory);
 
     const std::string &directory() const { return dir_; }
 
-    /** File the given key maps to (for tests and diagnostics). */
-    std::string pathFor(const std::string &key) const;
-
-    /** Fetch the raw value text stored under `key`; false on miss
-     *  (absent, corrupt, torn, schema mismatch, kind mismatch, or hash
-     *  collision). The returned text is the exact bytes a prior
-     *  storeText published, so round-trips are byte-identical. */
+    /** Fetch the raw value text of the newest valid record stored under
+     *  `key`; false on miss (absent, corrupt, torn, schema mismatch,
+     *  kind mismatch, or hash collision). The returned text is the
+     *  exact bytes a prior storeText published, so round-trips are
+     *  byte-identical. */
     bool fetchText(const std::string &key, const char *kind,
                    std::string &valueOut);
 
-    /** Publish `valueJson` (must be a complete JSON value) under
-     *  `key`. Lock-contended stores are skipped (the holder is writing
-     *  the same content-addressed bytes). */
+    /** Append `valueJson` (must be a complete JSON value) under `key`;
+     *  it supersedes every earlier record of the key. */
     void storeText(const std::string &key, const char *kind,
                    const std::string &valueJson);
 
   private:
     std::string dir_;
+    PackDir *packs_;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "arch/isa.hpp"
 #include "common/log.hpp"
 #include "core/result_cache.hpp"
 #include "obs/json.hpp"
@@ -76,8 +77,46 @@ unixNowSec()
         .count();
 }
 
+/**
+ * The execution unit `c` runs on when `gpu` has none of it, else
+ * ExecUnit::None. The simulator gives an op on a missing unit a 1e9-cycle
+ * initiation interval (GpuConfig::opInitiationInterval), so such a
+ * kernel runs into the cycle cap and reports seconds of bogus runtime.
+ */
+ExecUnit
+missingUnit(const GpuConfig &gpu, OpClass c)
+{
+    const ExecUnit unit = opClassUnit(c);
+    int count = 1; // texture and issue-only classes need no counted unit
+    switch (unit) {
+      case ExecUnit::Int32:  count = gpu.int32PerSubcore; break;
+      case ExecUnit::Fp32:   count = gpu.fp32PerSubcore; break;
+      case ExecUnit::Fp64:   count = gpu.fp64PerSubcore; break;
+      case ExecUnit::Sfu:    count = gpu.sfuPerSubcore; break;
+      case ExecUnit::Tensor: count = gpu.tensorPerSubcore; break;
+      case ExecUnit::LdSt:   count = gpu.ldstPerSubcore; break;
+      default:               break;
+    }
+    return count > 0 ? ExecUnit::None : unit;
+}
+
+const char *
+unitName(ExecUnit u)
+{
+    switch (u) {
+      case ExecUnit::Int32:  return "int32";
+      case ExecUnit::Fp32:   return "fp32";
+      case ExecUnit::Fp64:   return "fp64";
+      case ExecUnit::Sfu:    return "sfu";
+      case ExecUnit::Tensor: return "tensor";
+      case ExecUnit::Tex:    return "tex";
+      case ExecUnit::LdSt:   return "ldst";
+      default:               return "none";
+    }
+}
+
 /** Entry kind tag in the shared store. One kind for both positive and
- *  negative entries: the store maps a key to exactly one file, and the
+ *  negative entries: the newest record of a key answers, and the
  *  recorded response's own status distinguishes them. */
 constexpr const char *kSharedMemoKind = "awd_memo";
 
@@ -152,6 +191,16 @@ Estimator::run(const Job &job)
     if (!variantFromToken(req.variant, variant))
         return errorResponse(req.id, "protocol_error",
                              "unknown variant '" + req.variant + "'");
+
+    if (!req.hasActivity)
+        for (const MixEntry &e : req.kernel.mix) {
+            const ExecUnit unit = missingUnit(card->oracle->config(), e.op);
+            if (e.weight > 0 && unit != ExecUnit::None)
+                return errorResponse(
+                    req.id, "protocol_error",
+                    "card '" + req.card + "' has no " + unitName(unit) +
+                        " unit for op '" + opClassToken(e.op) + "'");
+        }
 
     const AccelWattchModel *model = nullptr;
     {

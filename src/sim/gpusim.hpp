@@ -91,8 +91,7 @@ void setSimDetail(int n);
  */
 struct SimRunStats
 {
-    int detail = 1;  ///< effective (clamped) detail groups
-    int shards = 1;  ///< shards actually run
+    int shards = 1;  ///< shards run: the effective (clamped) detail groups
     int threads = 1; ///< worker threads used: the cap, at most one per shard
     bool cancelled = false; ///< run stopped early on SimOptions::cancel
     double simulateSec = 0; ///< wall seconds until the last shard finished

@@ -272,7 +272,6 @@ runShardedSim(const GpuConfig &gpu, const KernelDescriptor &desc,
     const size_t numShards = shards.size();
     const int threadCap = std::max(
         1, opts.simThreads > 0 ? opts.simThreads : simThreadCount());
-    stats.detail = static_cast<int>(numShards);
     stats.shards = static_cast<int>(numShards);
     stats.threads =
         static_cast<int>(std::min(static_cast<size_t>(threadCap), numShards));

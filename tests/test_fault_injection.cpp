@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "cache_packs.hpp"
 #include "common/retry.hpp"
 #include "common/stats.hpp"
 #include "core/calibration.hpp"
@@ -497,16 +498,28 @@ TEST_F(FaultTest, TornWritesAreDetectedAndRecovered)
 
     const std::string key = "torn-write-key";
     auto &cache = ResultCache::instance();
-    double tornBefore = obs::metrics().counter("cache.torn").value();
-    double corruptBefore = obs::metrics().counter("cache.corrupt").value();
-    cache.storePower(key, 123.5); // injector tears the published entry
-    EXPECT_TRUE(fs::exists(cache.pathFor(key)));
+    auto convicted = [] {
+        return obs::metrics().counter("cache.torn").value() +
+               obs::metrics().counter("cache.corrupt").value();
+    };
+    const double before = convicted();
+    cache.storePower(key, 123.5); // injector appends the record cut short
+    const std::vector<test::PackedRecord> recs =
+        test::recordsOf("fault_test_cache_dir", key);
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_NE(recs[0].entry.back(), '\n') << "the record was not cut";
     double out = 0;
     EXPECT_FALSE(cache.fetchPower(key, out)); // detected, not trusted
-    EXPECT_FALSE(fs::exists(cache.pathFor(key))); // removed for re-store
-    EXPECT_GT(obs::metrics().counter("cache.torn").value() +
-                  obs::metrics().counter("cache.corrupt").value(),
-              tornBefore + corruptBefore);
+    EXPECT_GT(convicted(), before);
+    // Dropped from the index: fetching again convicts nothing more.
+    const double after = convicted();
+    EXPECT_FALSE(cache.fetchPower(key, out));
+    EXPECT_EQ(convicted(), after);
+    // Recovered: once the fault stops, a re-store answers.
+    FaultInjector::setGlobalConfig(FaultConfig{});
+    cache.storePower(key, 123.5);
+    ASSERT_TRUE(cache.fetchPower(key, out));
+    EXPECT_EQ(out, 123.5);
 }
 
 TEST_F(FaultTest, ChecksumConvictsParseableButTruncatedValue)
@@ -521,17 +534,24 @@ TEST_F(FaultTest, ChecksumConvictsParseableButTruncatedValue)
     EXPECT_DOUBLE_EQ(out, 42.25);
 
     // Hand-craft remains that still parse as JSON but carry a value the
-    // writer never checksummed — only vcrc can convict this.
-    {
-        std::ofstream f(cache.pathFor(key), std::ios::trunc);
-        f << "{\"schema\":" << kResultCacheSchemaVersion
-          << ",\"kind\":\"power\",\"key\":\"" << key
-          << "\",\"vcrc\":\"0000000000000000\",\"value\":42.25}\n";
-    }
-    double tornBefore = obs::metrics().counter("cache.torn").value();
+    // writer never checksummed, in place of the record's envelope — only
+    // vcrc can convict this.
+    const std::vector<test::PackedRecord> recs =
+        test::recordsOf("fault_test_cache_dir", key);
+    ASSERT_EQ(recs.size(), 1u);
+    const std::string forged =
+        "{\"schema\":" + std::to_string(kResultCacheSchemaVersion) +
+        ",\"kind\":\"power\",\"key\":\"" + key +
+        "\",\"vcrc\":\"0000000000000000\",\"value\":42.25}\n";
+    ASSERT_EQ(forged.size(), recs[0].entry.size());
+    test::overwriteAt(recs[0].pack, recs[0].offset + test::kPackHeaderBytes,
+                      forged);
+    const double tornBefore = obs::metrics().counter("cache.torn").value();
     EXPECT_FALSE(cache.fetchPower(key, out));
-    EXPECT_FALSE(fs::exists(cache.pathFor(key)));
     EXPECT_GT(obs::metrics().counter("cache.torn").value(), tornBefore);
+    // Dropped from the index: fetching again convicts nothing more.
+    EXPECT_FALSE(cache.fetchPower(key, out));
+    EXPECT_EQ(obs::metrics().counter("cache.torn").value(), tornBefore + 1);
 }
 
 // --- calibration under chaos -----------------------------------------------

@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests for the persistent content-addressed result cache: key
- * stability, hit/miss/corrupt-file behaviour, bit-exact round-trips,
+ * stability, the pack framing, hit/miss/corrupt-record behaviour,
+ * newest-record-wins, cross-process visibility, bit-exact round-trips,
  * and end-to-end determinism of the cached measurement helpers across
  * thread counts and cold/warm cache states.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cfloat>
 #include <chrono>
@@ -16,9 +16,12 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <sys/wait.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
+#include "cache_packs.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "core/result_cache.hpp"
@@ -28,6 +31,7 @@
 #include "trace/workload.hpp"
 
 using namespace aw;
+using namespace aw::test;
 namespace fs = std::filesystem;
 
 namespace {
@@ -94,41 +98,54 @@ sampleActivity()
     return a;
 }
 
-/** Sorted names of every file under `dir`, at any depth. */
-std::vector<std::string>
-fileNames(const std::string &dir)
+/** True for `pack-<this pid>-<16 hex digits>`. */
+bool
+isOwnPackName(const std::string &name)
 {
-    std::vector<std::string> names;
-    for (const auto &e : fs::recursive_directory_iterator(dir))
-        names.push_back(e.path().filename().string());
-    std::sort(names.begin(), names.end());
-    return names;
+    const std::string prefix = "pack-" + std::to_string(::getpid()) + "-";
+    return name.size() == prefix.size() + 16 && name.rfind(prefix, 0) == 0 &&
+           name.find_first_not_of("0123456789abcdef", prefix.size()) ==
+               std::string::npos;
 }
 
-std::string
-readBytes(const fs::path &path)
+/** The one record of `key` in `dir`. */
+PackedRecord
+onlyRecordOf(const std::string &dir, const std::string &key)
 {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    std::vector<PackedRecord> recs = recordsOf(dir, key);
+    EXPECT_EQ(recs.size(), 1u) << key;
+    return recs.empty() ? PackedRecord{} : recs.front();
 }
+
+int64_t
+nowNs()
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::system_clock::now().time_since_epoch())
+        .count();
+}
+
+/** Key-collision warnings seen by countCollisions, a log observer. */
+std::atomic<int> g_collisionWarnings{0};
 
 void
-writeBytes(const fs::path &path, const std::string &bytes)
+countCollisions(LogLevel, const std::string &message)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
+    if (message.find("key collision") != std::string::npos)
+        ++g_collisionWarnings;
 }
 
 /**
- * Write each damaged variant of a stored entry over it, and expect the
- * fetch to miss, count one cache.corrupt and remove the file. `fetch`
- * returns whether it hit; a hit must also return the stored bits, which
- * the caller checks. Warnings are silenced: each case prints one.
+ * Make each damaged entry the only record of `key` in `dir` — one record
+ * in a foreign pack whose header frames exactly those bytes, as a writer
+ * torn mid-record or a flipped bit leaves it — and expect the fetch to
+ * miss and count one cache.corrupt, and a second fetch to miss without
+ * counting it again (the record left the index). `fetch` returns
+ * whether it hit; a hit must also return the stored bits, which the
+ * caller checks. Warnings are silenced: each case prints one.
  */
 void
-expectEveryDamageConvicted(const fs::path &path,
+expectEveryDamageConvicted(const std::string &dir, const std::string &key,
                            const std::vector<std::string> &damaged,
                            const std::function<bool()> &fetch)
 {
@@ -137,13 +154,17 @@ expectEveryDamageConvicted(const fs::path &path,
     setLogLevel(LogLevel::Fatal);
     size_t bad = 0;
     std::string firstBad;
-    for (const std::string &bytes : damaged) {
-        writeBytes(path, bytes);
+    for (size_t i = 0; i < damaged.size(); ++i) {
+        fs::remove_all(dir);
+        writePack(dir, "pack-1-" + std::to_string(1000000 + i),
+                  framedRecord(key, damaged[i], 1));
+        ResultCache::instance().configure(dir);
         const double before = corrupt.value();
         const bool hit = fetch();
-        if (hit || corrupt.value() != before + 1 || fs::exists(path)) {
+        const bool again = fetch();
+        if (hit || again || corrupt.value() != before + 1) {
             if (bad++ == 0)
-                firstBad = bytes;
+                firstBad = damaged[i];
         }
     }
     setLogLevel(level);
@@ -305,14 +326,27 @@ TEST_F(ResultCacheTest, ActivityRoundTripsBitExact)
 
 TEST_F(ResultCacheTest, PowerEntryBytesAreGolden)
 {
-    // Bytes written by earlier builds: a change to the entry format,
-    // the file name or the key hash would turn every existing cache
-    // into misses.
+    // Bytes a store writes: a change to the framing, the envelope or the
+    // key hash would turn every existing cache into misses. The stamp is
+    // the one header field left free; it must be the store's time.
+    const int64_t before = nowNs();
     ResultCache::instance().storePower("golden-key", 0.1 + 0.2);
-    ASSERT_EQ(fileNames(dir_),
-              std::vector<std::string>{"d58077b959132f52.json"});
-    EXPECT_EQ(readBytes(fs::path(dir_) / "d58077b959132f52.json"),
-              "{\"schema\":2,\"kind\":\"power\",\"key\":\"golden-key\","
+    const int64_t after = nowNs();
+    const std::vector<fs::path> packs = packFiles(dir_);
+    ASSERT_EQ(packs.size(), 1u);
+    EXPECT_TRUE(isOwnPackName(packs[0].filename().string())) << packs[0];
+    const std::string bytes = readFileBytes(packs[0]);
+    ASSERT_EQ(bytes.size(), 24u + 101u);
+    EXPECT_EQ(bytes.substr(0, 16),
+              std::string("AWR1"                             // magic
+                          "\x65\x00\x00\x00"                 // length 101
+                          "\x52\x2f\x13\x59\xb9\x77\x80\xd5", // fnv1a64
+                          16));
+    const auto stamp = static_cast<int64_t>(littleEndian(bytes, 16, 8));
+    EXPECT_GE(stamp, before);
+    EXPECT_LE(stamp, after);
+    EXPECT_EQ(bytes.substr(24),
+              "{\"schema\":3,\"kind\":\"power\",\"key\":\"golden-key\","
               "\"vcrc\":\"6d3cb2ceaf9352cc\","
               "\"value\":0.30000000000000004}\n");
 }
@@ -321,11 +355,18 @@ TEST_F(ResultCacheTest, ActivityEntryBytesAreGolden)
 {
     ResultCache::instance().storeActivity("golden-activity-key",
                                           sampleActivity());
-    ASSERT_EQ(fileNames(dir_),
-              std::vector<std::string>{"068d3ab9f3413224.json"});
+    const std::vector<fs::path> packs = packFiles(dir_);
+    ASSERT_EQ(packs.size(), 1u);
+    const std::string bytes = readFileBytes(packs[0]);
+    ASSERT_EQ(bytes.size(), 24u + 1410u);
+    EXPECT_EQ(bytes.substr(0, 16),
+              std::string("AWR1"                             // magic
+                          "\x82\x05\x00\x00"                 // length 1410
+                          "\x24\x32\x41\xf3\xb9\x3a\x8d\x06", // fnv1a64
+                          16));
     EXPECT_EQ(
-        readBytes(fs::path(dir_) / "068d3ab9f3413224.json"),
-        "{\"schema\":2,\"kind\":\"activity\",\"key\":\"golden-activity-key\""
+        bytes.substr(24),
+        "{\"schema\":3,\"kind\":\"activity\",\"key\":\"golden-activity-key\""
         ",\"vcrc\":\"c0692b530ff41f10\""
         ",\"value\":{\"kernelName\":\"roundtrip\",\"totalCycles\":123456.75"
         ",\"elapsedSec\":8.7654321e-05,\"samples\":[{\"cycles\":500"
@@ -362,8 +403,8 @@ TEST_F(ResultCacheTest, EveryCutOfAPowerEntryIsCorrupt)
     const std::string key = "golden-key";
     const double stored = 0.1 + 0.2;
     cache.storePower(key, stored);
-    const std::string entry = readBytes(cache.pathFor(key));
-    expectEveryDamageConvicted(cache.pathFor(key), everyCut(entry), [&] {
+    const std::string entry = onlyRecordOf(dir_, key).entry;
+    expectEveryDamageConvicted(dir_, key, everyCut(entry), [&] {
         double out = 0;
         const bool hit = cache.fetchPower(key, out);
         if (hit) {
@@ -379,9 +420,9 @@ TEST_F(ResultCacheTest, EveryChangedValueByteOfAPowerEntryIsCorrupt)
     const std::string key = "golden-key";
     const double stored = 0.1 + 0.2;
     cache.storePower(key, stored);
-    const std::string entry = readBytes(cache.pathFor(key));
+    const std::string entry = onlyRecordOf(dir_, key).entry;
     expectEveryDamageConvicted(
-        cache.pathFor(key), everyValueByteChanged(entry), [&] {
+        dir_, key, everyValueByteChanged(entry), [&] {
             double out = 0;
             const bool hit = cache.fetchPower(key, out);
             if (hit) {
@@ -397,8 +438,8 @@ TEST_F(ResultCacheTest, EveryCutOfAnActivityEntryIsCorrupt)
     const std::string key = "golden-activity-key";
     const KernelActivity stored = sampleActivity();
     cache.storeActivity(key, stored);
-    const std::string entry = readBytes(cache.pathFor(key));
-    expectEveryDamageConvicted(cache.pathFor(key), everyCut(entry), [&] {
+    const std::string entry = onlyRecordOf(dir_, key).entry;
+    expectEveryDamageConvicted(dir_, key, everyCut(entry), [&] {
         KernelActivity out;
         const bool hit = cache.fetchActivity(key, out);
         if (hit) {
@@ -414,9 +455,9 @@ TEST_F(ResultCacheTest, EveryChangedValueByteOfAnActivityEntryIsCorrupt)
     const std::string key = "golden-activity-key";
     const KernelActivity stored = sampleActivity();
     cache.storeActivity(key, stored);
-    const std::string entry = readBytes(cache.pathFor(key));
+    const std::string entry = onlyRecordOf(dir_, key).entry;
     expectEveryDamageConvicted(
-        cache.pathFor(key), everyValueByteChanged(entry), [&] {
+        dir_, key, everyValueByteChanged(entry), [&] {
             KernelActivity out;
             const bool hit = cache.fetchActivity(key, out);
             if (hit) {
@@ -522,15 +563,23 @@ TEST_F(ResultCacheTest, CorruptEntryIsRemovedAndTreatedAsMiss)
     auto &cache = ResultCache::instance();
     const std::string key = "corrupt-test-key";
     cache.storePower(key, 42.5);
-    // Simulate a torn write / disk corruption.
-    {
-        std::ofstream f(cache.pathFor(key), std::ios::trunc);
-        f << "{\"schema\":1,\"kind\":\"power";
-    }
+    // Simulate a torn write / disk corruption: the pack now ends inside
+    // the record.
+    const PackedRecord rec = onlyRecordOf(dir_, key);
+    fs::resize_file(rec.pack, rec.offset + kPackHeaderBytes +
+                                  std::strlen("{\"schema\":1,\"kind\":\"power"));
+    obs::Counter &corrupt = obs::metrics().counter("cache.corrupt");
+    const double before = corrupt.value();
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Fatal);
     double out = 0;
     EXPECT_FALSE(cache.fetchPower(key, out));
-    EXPECT_FALSE(fs::exists(cache.pathFor(key)));
-    // The slot is usable again.
+    EXPECT_EQ(corrupt.value(), before + 1);
+    // Dropped from the index: the next fetch convicts nothing more.
+    EXPECT_FALSE(cache.fetchPower(key, out));
+    EXPECT_EQ(corrupt.value(), before + 1);
+    setLogLevel(level);
+    // The key is usable again.
     cache.storePower(key, 43.25);
     ASSERT_TRUE(cache.fetchPower(key, out));
     EXPECT_EQ(out, 43.25);
@@ -540,34 +589,52 @@ TEST_F(ResultCacheTest, StaleSchemaIsDiscarded)
 {
     auto &cache = ResultCache::instance();
     const std::string key = "schema-test-key";
-    cache.storePower(key, 10.0);
-    {
-        std::ofstream f(cache.pathFor(key), std::ios::trunc);
-        f << "{\"schema\":999,\"kind\":\"power\",\"key\":\"" << key
-          << "\",\"value\":10}";
-    }
+    // Another schema's record, stamped after any store this run makes.
+    writePack(dir_, "pack-1-0000000000000001",
+              framedRecord(key,
+                           "{\"schema\":999,\"kind\":\"power\",\"key\":\"" +
+                               key + "\",\"value\":10}",
+                           UINT64_MAX));
+    cache.configure(dir_);
+    obs::Counter &corrupt = obs::metrics().counter("cache.corrupt");
+    const double before = corrupt.value();
     double out = 0;
     EXPECT_FALSE(cache.fetchPower(key, out));
-    EXPECT_FALSE(fs::exists(cache.pathFor(key)));
+    EXPECT_EQ(corrupt.value(), before) << "a stale record is not corrupt";
+    // It never shadows a current record, newer stamp or not.
+    cache.storePower(key, 10.5);
+    ASSERT_TRUE(cache.fetchPower(key, out));
+    EXPECT_EQ(out, 10.5);
 }
 
 TEST_F(ResultCacheTest, HashCollisionIsDetectedNotTrusted)
 {
     auto &cache = ResultCache::instance();
     const std::string key = "collision-test-key";
-    // A file at this key's path whose stored key disagrees: the full
-    // key string is compared, so this must read as a miss and the
-    // foreign entry must survive.
-    fs::create_directories(cache.directory());
-    {
-        std::ofstream f(cache.pathFor(key), std::ios::trunc);
-        f << "{\"schema\":" << kResultCacheSchemaVersion
-          << ",\"kind\":\"power\",\"key\":\"some-other-key\","
-             "\"value\":1}";
-    }
+    // A record hashed like this key whose stored key disagrees: the full
+    // key string is compared, so this must read as a miss, and the
+    // foreign record must stay — indexed and intact — for its owner.
+    const std::string foreign =
+        framedRecord(key,
+                     "{\"schema\":" +
+                         std::to_string(kResultCacheSchemaVersion) +
+                         ",\"kind\":\"power\",\"key\":\"some-other-key\","
+                         "\"vcrc\":\"af63dd4c8601eec1\",\"value\":1}\n",
+                     1);
+    writePack(dir_, "pack-1-0000000000000002", foreign);
+    cache.configure(dir_);
+    obs::Counter &corrupt = obs::metrics().counter("cache.corrupt");
+    const double before = corrupt.value();
+    g_collisionWarnings = 0;
+    setLogObserver(&countCollisions);
     double out = 0;
     EXPECT_FALSE(cache.fetchPower(key, out));
-    EXPECT_TRUE(fs::exists(cache.pathFor(key)));
+    EXPECT_FALSE(cache.fetchPower(key, out));
+    setLogObserver(nullptr);
+    EXPECT_EQ(g_collisionWarnings.load(), 2) << "each fetch judges it anew";
+    EXPECT_EQ(corrupt.value(), before);
+    EXPECT_EQ(readFileBytes(fs::path(dir_) / "pack-1-0000000000000002"),
+              foreign);
 }
 
 TEST_F(ResultCacheTest, DisabledCacheNeverStoresOrFetches)
@@ -576,7 +643,7 @@ TEST_F(ResultCacheTest, DisabledCacheNeverStoresOrFetches)
     cache.setEnabled(false);
     const std::string key = "disabled-test-key";
     cache.storePower(key, 1.0);
-    EXPECT_FALSE(fs::exists(cache.pathFor(key)));
+    EXPECT_FALSE(fs::exists(dir_));
     double out = 0;
     EXPECT_FALSE(cache.fetchPower(key, out));
     cache.setEnabled(true);
@@ -587,9 +654,8 @@ TEST_F(ResultCacheTest, MeasurePowerColdVsWarmBitIdentical)
     SiliconOracle card(voltaGV100(), voltaSiliconTruth());
     auto k = cheapKernel("cold_warm");
     double cold = measurePowerCached(card, k);
-    ASSERT_TRUE(
-        fs::exists(ResultCache::instance().pathFor(
-            powerMeasurementKey(card, k, 0, 5))));
+    ASSERT_EQ(recordsOf(dir_, powerMeasurementKey(card, k, 0, 5)).size(),
+              1u);
     double warm = measurePowerCached(card, k);
     EXPECT_EQ(cold, warm);
     EXPECT_GT(cold, 0.0);
@@ -652,11 +718,10 @@ TEST_F(ResultCacheTest, CollectActivityColdVsWarmBitIdentical)
 
 TEST_F(ResultCacheTest, ConcurrentSameKeyWritersNeverCorruptAnEntry)
 {
-    // Regression test for the multi-process write hazard: two writers
-    // publishing the same key used to race their renames over a shared
-    // temp name. With the per-entry .lock file one writer publishes and
-    // the loser skips (same content either way); readers must only ever
-    // observe a miss or a complete, bit-exact entry — never a torn one.
+    // Regression test for the write hazard: two writers storing the same
+    // key at once must never interleave bytes. Each store appends one
+    // framed record; readers must only ever observe a miss or a
+    // complete, bit-exact entry — never a torn one.
     auto &cache = ResultCache::instance();
     const std::string key = "hammer/same-key";
     const KernelActivity golden = sampleActivity();
@@ -693,100 +758,259 @@ TEST_F(ResultCacheTest, ConcurrentSameKeyWritersNeverCorruptAnEntry)
     r.join();
     EXPECT_EQ(torn.load(), 0);
 
-    // The winning rename published the entry...
+    // The newest record answers...
     KernelActivity fin;
     ASSERT_TRUE(cache.fetchActivity(key, fin));
     EXPECT_EQ(fin.elapsedSec, golden.elapsedSec);
 
-    // ...and nothing leaked: no lock files, no orphaned temp files.
-    for (const auto &e : fs::recursive_directory_iterator(dir_)) {
-        const std::string name = e.path().filename().string();
-        EXPECT_EQ(name.find(".lock"), std::string::npos) << name;
-        EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
-    }
+    // ...every store landed whole, as one framed record...
+    EXPECT_EQ(recordsOf(dir_, key).size(), 800u);
+    // ...and nothing else was left: one pack, no temp files.
+    for (const auto &e : fs::recursive_directory_iterator(dir_))
+        EXPECT_TRUE(isOwnPackName(e.path().filename().string()))
+            << e.path();
 }
 
-TEST_F(ResultCacheTest, StaleLockIsStolen)
+// --- pack semantics --------------------------------------------------------
+
+TEST(FileEntryStorePacks, LastStoreOfAKeyWins)
 {
-    // A writer that crashed mid-store leaves its lock behind holding a
-    // partial payload. Once the lock is older than the stale bound
-    // (10 s) the next store steals it and publishes.
-    auto &cache = ResultCache::instance();
-    const std::string key = "stale-lock-key";
-    const std::string lock = cache.pathFor(key) + ".lock";
-    fs::create_directories(dir_);
-    {
-        std::ofstream f(lock, std::ios::binary);
-        f << "{\"schema\":2,\"kind\":\"power\",\"key\":\"stale-lo";
-    }
-    fs::last_write_time(lock, fs::file_time_type::clock::now() -
-                                  std::chrono::hours(1));
-    const double stored = 0.1 + 0.2;
-    cache.storePower(key, stored);
-    double out = 0;
-    ASSERT_TRUE(cache.fetchPower(key, out));
-    EXPECT_EQ(out, stored); // bit-exact
-    for (const std::string &name : fileNames(dir_))
-        EXPECT_EQ(name.find(".lock"), std::string::npos) << name;
+    // A re-store supersedes what it replaces — for the writer, and for a
+    // reader that builds its index from the packs on disk. (The index is
+    // per directory string, so a second spelling of the directory reads
+    // it as another process would.) The awd shared memo relies on this
+    // to replace an expired negative entry.
+    const std::string dir = "entry_store_last_writer_dir";
+    fs::remove_all(dir);
+    FileEntryStore writer(dir);
+    writer.storeText("same-key", "test", "\"A\"");
+    writer.storeText("same-key", "test", "\"B\"");
+    std::string got;
+    ASSERT_TRUE(writer.fetchText("same-key", "test", got));
+    EXPECT_EQ(got, "\"B\"");
+    FileEntryStore reader("./" + dir);
+    ASSERT_TRUE(reader.fetchText("same-key", "test", got));
+    EXPECT_EQ(got, "\"B\"");
+    fs::remove_all(dir);
 }
 
-TEST_F(ResultCacheTest, HeldLockIsLeftAlone)
+TEST(FileEntryStorePacks, ConcurrentFirstFetchesAllHit)
 {
-    // A fresh lock belongs to a live writer: the store waits out its
-    // retries, then skips without touching the holder's file.
-    auto &cache = ResultCache::instance();
-    const std::string key = "held-lock-key";
-    const std::string lock = cache.pathFor(key) + ".lock";
-    const std::string holderBytes = "{\"schema\":2,\"kind\":\"pow";
-    fs::create_directories(dir_);
+    // Threads that fetch at once from an index nobody has listed yet
+    // all miss their first look; one of them lists the directory, and
+    // every fetch must then find its record, also in the threads whose
+    // own look found nothing new because another thread had indexed it.
+    const std::string dir = "entry_store_first_fetch_dir";
+    fs::remove_all(dir);
+    constexpr int kThreads = 8;
     {
-        std::ofstream f(lock, std::ios::binary);
-        f << holderBytes;
+        FileEntryStore writer(dir);
+        for (int t = 0; t < kThreads; ++t)
+            writer.storeText("key-" + std::to_string(t), "test",
+                             std::to_string(t));
     }
-    auto &skipped = obs::metrics().counter("cache.lock_skipped");
-    const double before = skipped.value();
-    cache.storePower(key, 1.5);
-    EXPECT_EQ(skipped.value(), before + 1);
-    EXPECT_FALSE(fs::exists(cache.pathFor(key)));
-    double out = 0;
-    EXPECT_FALSE(cache.fetchPower(key, out));
-    EXPECT_EQ(readBytes(lock), holderBytes);
+    int misses = 0;
+    std::string spelling = dir;
+    for (int round = 0; round < 40; ++round) {
+        spelling = "./" + spelling; // a fresh index, as a new process has
+        FileEntryStore reader(spelling);
+        std::atomic<int> ready{0};
+        std::atomic<int> missed{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                ++ready;
+                while (ready.load() < kThreads)
+                    std::this_thread::yield();
+                std::string got;
+                if (!reader.fetchText("key-" + std::to_string(t), "test",
+                                      got) ||
+                    got != std::to_string(t))
+                    ++missed;
+            });
+        for (std::thread &th : threads)
+            th.join();
+        misses += missed.load();
+    }
+    EXPECT_EQ(misses, 0);
+    fs::remove_all(dir);
 }
 
-TEST_F(ResultCacheTest, StoreBackingOffDoesNotBlockOtherStores)
+namespace {
+
+/** Run `child` in a forked process; true when it exits 0. */
+template <typename Child>
+bool
+inForkedChild(Child &&child)
 {
-    // A process runs its stores one at a time, but a store waiting out
-    // another writer's lock sleeps without holding that turn: a store of
-    // another key completes, and is fetchable, while it backs off.
-    auto &cache = ResultCache::instance();
-    const std::string heldKey = "backoff-held-key";
-    const std::string freeKey = "backoff-free-key";
-    const std::string lock = cache.pathFor(heldKey) + ".lock";
-    fs::create_directories(dir_);
-    {
-        std::ofstream f(lock, std::ios::binary);
-        f << "{\"schema\":2,\"kind\":\"pow";
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        child();
+        std::_Exit(0);
     }
-    auto &contended = obs::metrics().counter("cache.lock_contended");
-    auto &skipped = obs::metrics().counter("cache.lock_skipped");
-    const double contended0 = contended.value();
-    const double skipped0 = skipped.value();
+    int status = 0;
+    return pid > 0 && ::waitpid(pid, &status, 0) == pid &&
+           WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
 
-    // ~100 ms of backoff, then the store gives up: cache.lock_skipped
-    // rises just before it returns.
-    std::thread held([&] { cache.storePower(heldKey, 1.5); });
-    while (contended.value() == contended0)
-        std::this_thread::yield();
-    cache.storePower(freeKey, 2.5);
+} // namespace
+
+TEST_F(ResultCacheTest, StoresOfAnotherProcessAreSeenWithoutRestoring)
+{
+    // A forked child stores into a directory the parent has already
+    // listed, in two rounds: the first creates its pack, the second
+    // grows it after the parent has indexed the first. Every one of the
+    // parent's fetches then hits, and the parent re-stores nothing.
+    auto &cache = ResultCache::instance();
     double out = 0;
-    const bool fetched = cache.fetchPower(freeKey, out);
-    const double skippedMeanwhile = skipped.value();
-    held.join();
+    cache.storePower("parent-key", 1.0);
+    EXPECT_FALSE(cache.fetchPower("child-key-0", out));
+    constexpr int kPerRound = 8;
+    int toParent[2], toChild[2];
+    ASSERT_EQ(::pipe(toParent), 0);
+    ASSERT_EQ(::pipe(toChild), 0);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::close(toParent[0]);
+        ::close(toChild[1]);
+        char token = 0;
+        for (int i = 0; i < kPerRound; ++i)
+            cache.storePower("child-key-" + std::to_string(i), 0.5 * i);
+        const bool ok = ::write(toParent[1], &token, 1) == 1 &&
+                        ::read(toChild[0], &token, 1) == 1;
+        for (int i = kPerRound; i < 2 * kPerRound; ++i)
+            cache.storePower("child-key-" + std::to_string(i), 0.5 * i);
+        std::_Exit(ok ? 0 : 1);
+    }
+    ::close(toParent[1]);
+    ::close(toChild[0]);
+    ASSERT_GT(pid, 0);
+    auto &reg = obs::metrics();
+    const double hits0 = reg.counter("cache.hits").value();
+    const double misses0 = reg.counter("cache.misses").value();
+    const double writes0 = reg.counter("cache.writes").value();
+    // No early return until the child is reaped: it waits on the pipe.
+    auto fetchRound = [&](int round) {
+        for (int i = round * kPerRound; i < (round + 1) * kPerRound; ++i) {
+            out = -1;
+            EXPECT_TRUE(
+                cache.fetchPower("child-key-" + std::to_string(i), out))
+                << i;
+            EXPECT_EQ(out, 0.5 * i);
+        }
+    };
+    char token = 0;
+    EXPECT_EQ(::read(toParent[0], &token, 1), 1);
+    fetchRound(0);
+    EXPECT_EQ(::write(toChild[1], &token, 1), 1);
+    ::close(toParent[0]);
+    ::close(toChild[1]);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    fetchRound(1);
+    EXPECT_EQ(reg.counter("cache.hits").value(), hits0 + 2 * kPerRound);
+    EXPECT_EQ(reg.counter("cache.misses").value(), misses0);
+    EXPECT_EQ(reg.counter("cache.writes").value(), writes0);
+}
 
-    EXPECT_TRUE(fetched);
-    EXPECT_EQ(out, 2.5);
-    EXPECT_EQ(skippedMeanwhile, skipped0)
-        << "the store of another key waited for the backing-off store";
-    EXPECT_EQ(skipped.value(), skipped0 + 1);
-    EXPECT_FALSE(fs::exists(cache.pathFor(heldKey)));
+TEST_F(ResultCacheTest, ForkedChildAppendsToAPackOfItsOwn)
+{
+    auto &cache = ResultCache::instance();
+    cache.storePower("parent-key", 1.0);
+    const std::vector<fs::path> before = packFiles(dir_);
+    ASSERT_EQ(before.size(), 1u);
+    const std::string parentBytes = readFileBytes(before[0]);
+    ASSERT_TRUE(inForkedChild([&] {
+        cache.storePower("child-key", 2.0);
+        cache.storePower("parent-key", 3.0);
+    }));
+    EXPECT_EQ(readFileBytes(before[0]), parentBytes)
+        << "the child wrote into its parent's pack";
+    EXPECT_EQ(packFiles(dir_).size(), 2u);
+    // The child's re-store is the newest record of the key.
+    double out = 0;
+    ASSERT_TRUE(cache.fetchPower("child-key", out));
+    EXPECT_EQ(out, 2.0);
+    ASSERT_TRUE(cache.fetchPower("parent-key", out));
+    EXPECT_EQ(out, 3.0);
+}
+
+TEST_F(ResultCacheTest, EmptiedDirectoryLosesItsRecords)
+{
+    auto &cache = ResultCache::instance();
+    double out = 0;
+    for (int i = 0; i < 4; ++i)
+        cache.storePower("emptied-key-" + std::to_string(i), i + 0.5);
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    cache.configure(dir_);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_FALSE(cache.fetchPower("emptied-key-" + std::to_string(i), out))
+            << i;
+
+    // A pack is its name and its inode. A file system may give a
+    // deleted pack's inode to the next file it creates; here a new pack
+    // name takes the old pack's inode (a rename keeps it) and other
+    // records. The old records must go and the new ones must answer.
+    const std::string other = dir_ + "_other";
+    fs::remove_all(other);
+    cache.configure(other);
+    for (int i = 0; i < 4; ++i)
+        cache.storePower("new-key-" + std::to_string(i), i + 0.25);
+    const std::string otherBytes = readFileBytes(packFiles(other).at(0));
+    cache.configure(dir_);
+    for (int i = 0; i < 4; ++i)
+        cache.storePower("old-key-" + std::to_string(i), i + 0.75);
+    const fs::path oldPack = packFiles(dir_).at(0);
+    const fs::path reused = fs::path(dir_) / "pack-1-0000000000000003";
+    fs::rename(oldPack, reused);
+    {
+        std::ofstream f(reused, std::ios::binary | std::ios::trunc);
+        f << otherBytes;
+    }
+    cache.configure(dir_);
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Fatal);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_FALSE(cache.fetchPower("old-key-" + std::to_string(i), out))
+            << i;
+        ASSERT_TRUE(cache.fetchPower("new-key-" + std::to_string(i), out))
+            << i;
+        EXPECT_EQ(out, i + 0.25);
+    }
+    setLogLevel(level);
+    fs::remove_all(other);
+}
+
+TEST_F(ResultCacheTest, PackCutInsideItsLastRecord)
+{
+    auto &cache = ResultCache::instance();
+    for (int i = 0; i < 3; ++i)
+        cache.storePower("tail-key-" + std::to_string(i), i + 0.5);
+    const std::vector<PackedRecord> recs = recordsIn(dir_);
+    ASSERT_EQ(recs.size(), 3u);
+    fs::resize_file(recs[2].pack, recs[2].offset + kPackHeaderBytes +
+                                      recs[2].entry.size() / 2);
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Fatal);
+    double out = 0;
+    for (int i = 0; i < 2; ++i) {
+        ASSERT_TRUE(cache.fetchPower("tail-key-" + std::to_string(i), out));
+        EXPECT_EQ(out, i + 0.5);
+    }
+    EXPECT_FALSE(cache.fetchPower("tail-key-2", out));
+    setLogLevel(level);
+    cache.storePower("tail-key-2", 9.5);
+    ASSERT_TRUE(cache.fetchPower("tail-key-2", out));
+    EXPECT_EQ(out, 9.5);
+    // A reader that scans the pack from disk sees the same: the re-store
+    // went where the cut record ended, so the framing after it holds.
+    cache.configure("./" + dir_);
+    for (int i = 0; i < 2; ++i) {
+        ASSERT_TRUE(cache.fetchPower("tail-key-" + std::to_string(i), out));
+        EXPECT_EQ(out, i + 0.5);
+    }
+    ASSERT_TRUE(cache.fetchPower("tail-key-2", out));
+    EXPECT_EQ(out, 9.5);
 }

@@ -30,6 +30,7 @@
 
 #include <filesystem>
 
+#include "cache_packs.hpp"
 #include "common/log.hpp"
 #include "core/calibration.hpp"
 #include "core/result_cache.hpp"
@@ -331,6 +332,48 @@ TEST_F(ServiceE2E, UnknownCardIsAStructuredProtocolError)
     ASSERT_FALSE(r);
     EXPECT_EQ(r.error().cause, FailCause::ProtocolError);
     EXPECT_NE(r.error().message.find("unknown card"), std::string::npos);
+}
+
+TEST(ServiceCards, OpsOnAUnitTheCardLacksAreRefused)
+{
+    // Pascal has no tensor cores. A tensor kernel on it is refused,
+    // naming the unit, instead of simulated into the cycle cap and
+    // answered with seconds of runtime; the same kernel on Volta, and an
+    // FP kernel on Pascal, are answered.
+    service::ServerOptions opts;
+    opts.cards = {"volta", "pascal"};
+    opts.threads = 1;
+    opts.warmup = false;
+    opts.defaultDeadlineMs = 120e3;
+    service::AwdServer server(opts);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    service::AwdClient c(quickClientOptions(server.port()));
+
+    KernelDescriptor tensor = testKernel(runUnique("svc_tensor_mix"));
+    tensor.mix = {{OpClass::Tensor, 0.5}, {OpClass::LdShared, 0.5}};
+    service::EstimateRequest req = estimateOf(tensor);
+    req.card = "pascal";
+    Result<service::EstimateResponse> refused = c.estimate(req);
+    ASSERT_FALSE(refused);
+    EXPECT_EQ(refused.error().cause, FailCause::ProtocolError);
+    EXPECT_NE(refused.error().message.find("tensor unit"), std::string::npos)
+        << refused.error().message;
+
+    req.card = "volta";
+    Result<service::EstimateResponse> volta = c.estimate(req);
+    ASSERT_TRUE(volta) << volta.error().message;
+    EXPECT_EQ(volta->status, "ok");
+    EXPECT_LT(volta->elapsedSec, 0.01);
+
+    service::EstimateRequest fp =
+        estimateOf(testKernel(runUnique("svc_pascal_fp")));
+    fp.card = "pascal";
+    Result<service::EstimateResponse> pascal = c.estimate(fp);
+    ASSERT_TRUE(pascal) << pascal.error().message;
+    EXPECT_EQ(pascal->status, "ok");
+    server.requestStop();
+    EXPECT_EQ(server.wait(), 0);
 }
 
 TEST_F(ServiceE2E, OversizedIdIsRejectedWithoutKillingTheDaemon)
@@ -1053,6 +1096,64 @@ TEST(ServiceSharedMemo, NegativeEntryReplaysTheFailureWithinTtl)
     fs::remove_all(dir);
 }
 
+TEST(ServiceSharedMemo, ExpiredNegativeEntryGivesWayToTheRecompute)
+{
+    // A negative entry past its TTL is a miss. The daemon that then
+    // computes the key re-stores it, and from then on that newer record,
+    // not the expired failure, answers: a second daemon serves it from
+    // the shared memo without admitting a job.
+    const std::string dir = "awd_shared_memo_expired_dir";
+    fs::remove_all(dir);
+    const service::EstimateRequest req =
+        estimateOf(testKernel(runUnique("svc_shared_expired")));
+    const std::string frame = frameOf(req);
+    {
+        service::EstimateResponse failed;
+        failed.status = "error";
+        failed.errorCause = "internal";
+        failed.errorMessage = "a transient failure";
+        const double storedUnix =
+            std::chrono::duration<double>(
+                std::chrono::system_clock::now().time_since_epoch())
+                .count() -
+            2 * service::kSharedMemoNegativeTtlSec;
+        std::string value =
+            "{\"stored_unix\":" + obs::jsonNumber(storedUnix) +
+            ",\"response\":";
+        service::appendResponseJson(failed, value);
+        value += "}";
+        FileEntryStore(dir).storeText(service::requestContentKey(req),
+                                      "awd_memo", value);
+    }
+
+    service::ServerOptions sopts;
+    sopts.threads = 1;
+    sopts.maxQueue = 64;
+    sopts.defaultDeadlineMs = 120e3;
+    sopts.warmup = true;
+    sopts.sharedMemoDir = dir;
+    for (const char *daemon : {"A", "B"}) {
+        SCOPED_TRACE(daemon);
+        const bool first = std::string(daemon) == "A";
+        service::AwdServer server(sopts);
+        std::string error;
+        ASSERT_TRUE(server.start(error)) << error;
+        RawConn conn;
+        ASSERT_TRUE(conn.connectTo(server.port()));
+        ASSERT_TRUE(conn.sendAll(frame));
+        std::vector<std::string> frames;
+        ASSERT_TRUE(conn.readResponses(1, frames));
+        const service::EstimateResponse resp = parsedResponse(frames[0]);
+        EXPECT_EQ(resp.status, "ok") << resp.errorMessage;
+        EXPECT_EQ(statOf(server, "shared_memo_negative_hits"), 0);
+        EXPECT_EQ(statOf(server, "shared_memo_hits"), first ? 0 : 1);
+        EXPECT_EQ(statOf(server, "admitted"), first ? 1 : 0);
+        server.requestStop();
+        EXPECT_EQ(server.wait(), 0);
+    }
+    fs::remove_all(dir);
+}
+
 TEST(ServiceSharedMemo, TornEntryIsDetectedAndRecomputed)
 {
     const std::string dir = "awd_shared_memo_torn_dir";
@@ -1082,17 +1183,22 @@ TEST(ServiceSharedMemo, TornEntryIsDetectedAndRecomputed)
         EXPECT_EQ(a.wait(), 0);
     }
 
-    // Simulate a daemon dying mid-write: chop the published entry in
-    // half. The checksum must reject it — a torn entry is a miss, never
-    // a wrong answer.
+    // Simulate a daemon dying mid-write: chop the published record in
+    // half, so its pack ends inside it. It must be rejected — a torn
+    // entry is a miss, never a wrong answer — both by the index that
+    // holds it and by one that scans the pack afresh (a second spelling
+    // of the directory gets its own index, as another process would).
     FileEntryStore store(dir);
     const std::string key = service::requestContentKey(req);
-    const std::string path = store.pathFor(key);
-    ASSERT_TRUE(fs::exists(path)) << path;
-    fs::resize_file(path, fs::file_size(path) / 2);
+    const std::vector<test::PackedRecord> recs = test::recordsOf(dir, key);
+    ASSERT_EQ(recs.size(), 1u) << dir;
+    fs::resize_file(recs[0].pack, recs[0].offset + test::kPackHeaderBytes +
+                                      recs[0].entry.size() / 2);
     std::string raw;
     EXPECT_FALSE(store.fetchText(key, "awd_memo", raw))
         << "torn entry passed validation";
+    EXPECT_FALSE(FileEntryStore("./" + dir).fetchText(key, "awd_memo", raw))
+        << "torn entry passed validation on a fresh scan";
 
     // A fresh daemon treats the torn entry as a miss, recomputes, and
     // republishes a valid entry over it.
