@@ -18,6 +18,12 @@
 # past the baseline's per-bench tolerance; a negative control with
 # AW_BENCH_SLOWDOWN=2 proves the gate can actually fail.
 #
+# The default sweep also runs a campaign leg: the repository
+# benchmark's self-tests, then one untraced cold calibration campaign
+# whose record must carry the pinned outputs (tuned-energy digest and
+# exact work counts), so a change that moves any simulated, measured or
+# tuned bit fails locally.
+#
 # The default sweep also runs a simpar leg: the sharded-simulator
 # determinism suite (test_sim_parallel) re-runs in the TSan tree with
 # AW_SIM_THREADS=4, then the plain build runs the sim_scaling bench at
@@ -28,7 +34,7 @@
 #   scripts/check.sh [--configure-only] [--build-dir DIR]
 #                    [--sanitizer address|thread]
 #                    [--perf-gate] [--update-baselines] [--simpar]
-#                    [--service] [--service-obs]
+#                    [--service] [--service-obs] [--campaign]
 #
 #   --configure-only        stop after the CMake configure step (this is
 #                           what the `lint` CTest label runs, so plain
@@ -50,6 +56,9 @@
 #                           SIGUSR1 dump + drain-time trace validated,
 #                           TSan pass of the service suite, and the
 #                           service_obs overhead gate)
+#   --campaign              run only the campaign leg (perfbench
+#                           self-tests, one cold campaign_cold record
+#                           compared with the pinned outputs)
 #
 # The test step excludes the lint label itself (-LE lint) so the check
 # does not recurse into another configure of the same tree.
@@ -65,6 +74,7 @@ update_baselines=0
 simpar_only=0
 service_only=0
 service_obs_only=0
+campaign_only=0
 
 while [[ $# -gt 0 ]]; do
     case "$1" in
@@ -93,6 +103,10 @@ while [[ $# -gt 0 ]]; do
         service_obs_only=1
         shift
         ;;
+      --campaign)
+        campaign_only=1
+        shift
+        ;;
       --build-dir)
         [[ $# -ge 2 ]] || { echo "error: --build-dir needs a value" >&2; exit 2; }
         build_dir=$2
@@ -108,7 +122,7 @@ while [[ $# -gt 0 ]]; do
         shift 2
         ;;
       -h|--help)
-        sed -n '2,45p' "$0"
+        sed -n '2,64p' "$0"
         exit 0
         ;;
       *)
@@ -450,6 +464,55 @@ simpar() {
     echo "== simpar passed (1- and 8-thread checksums identical: ${c1})"
 }
 
+# Campaign leg: perfbench builds its own tree (.bench_build/) from this
+# checkout. A cold campaign_cold rep simulates, measures and tunes every
+# variant from an empty result cache; its record pins the outputs and
+# the work that produced them.
+campaign_leg() {
+    echo "== campaign: perfbench self-tests"
+    python3 perfbench/run.py --selftest
+    echo "== campaign: one untraced campaign_cold run"
+    local out
+    out=$(python3 perfbench/run.py --workload campaign_cold --seed 1 \
+        --seconds 0 --trace 0)
+    python3 - "${out}" <<'PY'
+import json, sys
+lines = sys.argv[1].splitlines()
+records = [json.loads(l)["record"] for l in lines
+           if l.startswith('{"record"')]
+result = json.loads(lines[-1])
+want = {
+    "energy_digest": "bd070987045fecb3",
+    "sim.cycles": "17937307",
+    "sim.kernels": "776",
+    "hw.nvml.measurements": "398",
+    "cache.writes": "903",
+    "solver.newton_iters": "5385",
+}
+bad = []
+if not records:
+    bad.append("no record line")
+else:
+    rec = records[-1]
+    for key, value in want.items():
+        if str(rec.get(key)) != value:
+            bad.append("%s: %r, want %r" % (key, rec.get(key), value))
+if not result.get("correct") or result.get("failed") != 0:
+    bad.append("run not correct (failed %r)" % result.get("failed"))
+if bad:
+    print("error: campaign_cold record moved:\n  " + "\n  ".join(bad),
+          file=sys.stderr)
+    sys.exit(1)
+print("== campaign passed (%s)" % ", ".join(
+    "%s %s" % kv for kv in want.items()))
+PY
+}
+
+if [[ ${campaign_only} -eq 1 ]]; then
+    campaign_leg
+    exit 0
+fi
+
 if [[ ${simpar_only} -eq 1 ]]; then
     simpar "${build_dir:-build-tsan}"
     exit 0
@@ -498,6 +561,7 @@ case "${sanitizer}" in
         perfgate
         service_leg
         service_obs_leg
+        campaign_leg
     fi
     ;;
 esac

@@ -43,16 +43,17 @@ SmCore::SmCore(const GpuConfig &gpu, const KernelDescriptor &desc,
     wProducerReady_.assign(numWarps_, 0.0);
     wNextUnit_.assign(numWarps_, 0);
 
-    subcoreWarps_.resize(static_cast<size_t>(gpu.subcoresPerSm));
-    lastIssued_.assign(static_cast<size_t>(gpu.subcoresPerSm), -1);
-    subcoreWake_.assign(static_cast<size_t>(gpu.subcoresPerSm), 0.0);
-    unitFreeAt_.assign(static_cast<size_t>(gpu.subcoresPerSm), {});
+    numSubcores_ = static_cast<size_t>(gpu.subcoresPerSm);
+    subcoreWarps_.resize(numSubcores_);
+    lastIssued_.assign(numSubcores_, -1);
+    subcoreWake_.assign(numSubcores_, 0.0);
+    unitFreeAt_.assign(numSubcores_, {});
     const int warpsPerCta = std::max(1, desc.warpsPerCta);
     barriers_.resize(static_cast<size_t>(residentWarps + warpsPerCta - 1) /
                      static_cast<size_t>(warpsPerCta));
     ctaWarps_.resize(barriers_.size());
     for (size_t w = 0; w < numWarps_; ++w) {
-        int subcore = static_cast<int>(w % subcoreWarps_.size());
+        const size_t subcore = w % numSubcores_;
         int cta = static_cast<int>(w) / warpsPerCta;
         wCta_[w] = cta;
         ++barriers_[static_cast<size_t>(cta)].warps;
@@ -62,7 +63,7 @@ SmCore::SmCore(const GpuConfig &gpu, const KernelDescriptor &desc,
         // stride pattern where the previous group's warps left off.
         wMemCursor_[w] =
             (w + static_cast<uint64_t>(smIndex) * numWarps_) * 8191;
-        subcoreWarps_[static_cast<size_t>(subcore)].push_back(w);
+        subcoreWarps_[subcore].push_back(w);
     }
 
     // Instruction-fetch locality: a loop body that fits in the L0
@@ -70,6 +71,7 @@ SmCore::SmCore(const GpuConfig &gpu, const KernelDescriptor &desc,
     double bodyBytes = static_cast<double>(program.body.size()) * 16.0;
     bool fitsL0 = bodyBytes <= gpu.l0i.sizeKb * 1024.0;
     l1iPerIssue_ = fitsL0 ? 1.0 / std::max(1, program.iterations) : 1.0;
+    l1iSums_.assign(1, 0.0);
 
     footprintLines_ = std::max<uint64_t>(
         1, static_cast<uint64_t>(desc.memFootprintKb * 1024.0 /
@@ -95,10 +97,8 @@ SmCore::SmCore(const GpuConfig &gpu, const KernelDescriptor &desc,
         const size_t c = static_cast<size_t>(inst.op);
         d.effII = effII[c];
         d.latency = latency[c];
-        d.regWeight = (inst.regReads + inst.regWrites) * laneFrac_;
         d.depDist = inst.depDist;
         d.unit = static_cast<uint8_t>(opClassUnit(inst.op));
-        d.unitKind = static_cast<uint8_t>(opClassUnitKind(inst.op));
         if (isMemoryOp(inst.op))
             d.kind = kKindMemory;
         else if (inst.op == OpClass::NanoSleep)
@@ -107,26 +107,37 @@ SmCore::SmCore(const GpuConfig &gpu, const KernelDescriptor &desc,
             d.kind = kKindBar;
         else
             d.kind = kKindAlu;
+
+        IssueWeight iw;
+        iw.regWeight = (inst.regReads + inst.regWrites) * laneFrac_;
+        iw.unitKind = static_cast<uint8_t>(opClassUnitKind(inst.op));
         switch (inst.op) {
           case OpClass::IntAdd:
           case OpClass::IntLogic:
           case OpClass::Mov:
-            d.intClass = 1;
+            iw.intClass = 1;
             break;
           case OpClass::IntMul:
           case OpClass::IntMad:
-            d.intClass = 2;
+            iw.intClass = 2;
             break;
           default:
-            d.intClass = 0;
+            iw.intClass = 0;
             break;
         }
-        d.powerCompIdx = kNoPowerComp;
+        iw.powerCompIdx = kNoPowerComp;
         if (!isMemoryOp(inst.op) &&
             inst.powerComp != PowerComponent::SmPipeline)
-            d.powerCompIdx =
+            iw.powerCompIdx =
                 static_cast<uint8_t>(componentIndex(inst.powerComp));
+        auto cls = std::find(weights_.begin(), weights_.end(), iw);
+        d.weightClass = static_cast<uint16_t>(cls - weights_.begin());
+        if (cls == weights_.end()) {
+            AW_ASSERT(weights_.size() < 0xffff);
+            weights_.push_back(iw);
+        }
     }
+    weightIssues_.assign(weights_.size(), 0);
     for (size_t w = 0; w < numWarps_; ++w)
         cacheNextInst(w);
 
@@ -136,7 +147,7 @@ SmCore::SmCore(const GpuConfig &gpu, const KernelDescriptor &desc,
     activity_.avgActiveLanesPerWarp = y;
 }
 
-void
+[[gnu::always_inline]] inline void
 SmCore::cacheNextInst(size_t w)
 {
     const DecodedInst &dec = decoded_[wBodyIdx_[w]];
@@ -153,25 +164,27 @@ SmCore::cacheNextInst(size_t w)
     wProducerReady_[w] = ready;
 }
 
-bool
-SmCore::warpReady(size_t w, int subcore, double now,
-                  double &wakeTime) const
+[[gnu::always_inline]] inline double
+SmCore::gate(size_t w,
+             const std::array<double, kNumExecUnits> &unitFree) const
 {
-    // The first failing check, in issue-rule order, is the wake time.
     // An issue-only instruction reads the ExecUnit::None slot, which is
     // never written and stays 0.
-    const auto &unitFreeAt = unitFreeAt_[static_cast<size_t>(subcore)];
-    double blockedUntil;
-    if (wNextIssue_[w] > now)
-        blockedUntil = wNextIssue_[w];
-    else if (wProducerReady_[w] > now)
-        blockedUntil = wProducerReady_[w];
-    else if (unitFreeAt[wNextUnit_[w]] > now)
-        blockedUntil = unitFreeAt[wNextUnit_[w]];
-    else
-        return true;
-    wakeTime = std::min(wakeTime, blockedUntil);
-    return false;
+    return std::max(std::max(wNextIssue_[w], wProducerReady_[w]),
+                    unitFree[wNextUnit_[w]]);
+}
+
+[[gnu::always_inline]] inline double
+SmCore::firstFailing(size_t w,
+                     const std::array<double, kNumExecUnits> &unitFree,
+                     double now) const
+{
+    // Selects, not branches: the checks' outcomes vary warp to warp.
+    const double issueAt = wNextIssue_[w];
+    const double producer = wProducerReady_[w];
+    const double unit = unitFree[wNextUnit_[w]];
+    const double later = producer > now ? producer : unit;
+    return issueAt > now ? issueAt : later;
 }
 
 double
@@ -256,8 +269,8 @@ SmCore::arriveAtBarrier(size_t w, double now)
             wNextIssue_[other] = std::min(wNextIssue_[other], now + 1.0);
             // A CTA spans sub-cores, and the released warp's may be
             // asleep on a bound past now + 1.
-            double &wake = subcoreWake_[other % subcoreWake_.size()];
-            wake = std::min(wake, now + 1.0);
+            const size_t sc = other % numSubcores_;
+            subcoreWake_[sc] = std::min(subcoreWake_[sc], now + 1.0);
         }
         return;
     }
@@ -265,62 +278,52 @@ SmCore::arriveAtBarrier(size_t w, double now)
     wNextIssue_[w] = 1e300;
 }
 
-void
-SmCore::issue(size_t w, int subcore, double now)
+[[gnu::noinline]] SmCore::IssueTiming
+SmCore::issueSpecial(size_t w, const TraceInst &inst, const DecodedInst &dec,
+                     double now)
 {
-    const size_t bodyIdx = wBodyIdx_[w];
-    const TraceInst &inst = program_.body[bodyIdx];
-    const DecodedInst &dec = decoded_[bodyIdx];
-
-    // --- timing ---------------------------------------------------------
-    double completion;
-    double unitBusy = dec.effII;
+    IssueTiming t{now + dec.latency, dec.effII};
     switch (dec.kind) {
       case kKindMemory: {
-        double occupancy = unitBusy;
-        completion = now + memoryLatency(w, inst, dec, now, occupancy);
-        unitBusy = std::max(unitBusy, occupancy);
+        double occupancy = t.unitBusy;
+        t.completion = now + memoryLatency(w, inst, dec, now, occupancy);
+        t.unitBusy = std::max(t.unitBusy, occupancy);
         break;
       }
       case kKindNanoSleep:
-        completion = now + dec.latency;
-        wNextIssue_[w] = completion; // nanosleep blocks the warp
+        wNextIssue_[w] = t.completion; // nanosleep blocks the warp
         break;
       case kKindBar:
-        completion = now + 1.0;
+        t.completion = now + 1.0;
         arriveAtBarrier(w, now);
         break;
       default:
-        completion = now + dec.latency;
         break;
     }
-    if (dec.unit != static_cast<uint8_t>(ExecUnit::None)) {
-        unitFreeAt_[static_cast<size_t>(subcore)][dec.unit] =
-            now + unitBusy;
-    }
+    return t;
+}
+
+[[gnu::always_inline]] inline void
+SmCore::issue(size_t w, size_t subcore, double now)
+{
+    const size_t bodyIdx = wBodyIdx_[w];
+    const DecodedInst &dec = decoded_[bodyIdx];
+
+    // --- timing ---------------------------------------------------------
+    IssueTiming t{now + dec.latency, dec.effII};
+    if (dec.kind != kKindAlu) [[unlikely]]
+        t = issueSpecial(w, program_.body[bodyIdx], dec, now);
+    if (dec.unit != static_cast<uint8_t>(ExecUnit::None))
+        unitFreeAt_[subcore][dec.unit] = now + t.unitBusy;
     wReady_[w * kScoreboard +
-            static_cast<size_t>(wIssued_[w]) % kScoreboard] = completion;
+            static_cast<size_t>(wIssued_[w]) % kScoreboard] = t.completion;
     ++wIssued_[w];
-    ++issuedInsts_;
 
-    // --- power activity (Table 1) ----------------------------------------
-    auto &acc = activity_.accesses;
-    acc[componentIndex(PowerComponent::InstBuffer)] += 1;
-    acc[componentIndex(PowerComponent::InstCache)] += l1iPerIssue_;
-    acc[componentIndex(PowerComponent::Scheduler)] += 1;
-    acc[componentIndex(PowerComponent::SmPipeline)] += 1;
-    acc[componentIndex(PowerComponent::RegFile)] += dec.regWeight;
-    if (dec.powerCompIdx != kNoPowerComp)
-        acc[dec.powerCompIdx] += laneFrac_;
-
-    activity_.unitInsts[dec.unitKind] += 1;
-    if (dec.intClass == 1)
-        activity_.intAddInsts += 1;
-    else if (dec.intClass == 2)
-        activity_.intMulInsts += 1;
+    // --- power activity (Table 1), folded at the next drain -------------
+    ++weightIssues_[dec.weightClass];
 
     // --- program counter --------------------------------------------------
-    uint32_t next = wBodyIdx_[w] + 1;
+    uint32_t next = static_cast<uint32_t>(bodyIdx) + 1;
     if (next == bodySize_) {
         next = 0;
         if (--wItersLeft_[w] <= 0) {
@@ -332,82 +335,82 @@ SmCore::issue(size_t w, int subcore, double now)
     cacheNextInst(w);
 }
 
-bool
-SmCore::tryIssueSubcore(int subcore, double now, double &nextEvent)
-{
-    auto &ids = subcoreWarps_[static_cast<size_t>(subcore)];
-    if (ids.empty())
-        return false;
-
-    // A scan that issued nothing proved no warp here can issue before
-    // `wake`; until then a rescan would fail the same checks on the
-    // same values. A scan that issues leaves `wake` <= now, so the next
-    // step rescans.
-    double &wake = subcoreWake_[static_cast<size_t>(subcore)];
-    if (now < wake) {
-        nextEvent = std::min(nextEvent, wake);
-        return false;
-    }
-
-    int &last = lastIssued_[static_cast<size_t>(subcore)];
-    const int n = static_cast<int>(ids.size());
-    int issuedAt = -1;
-    double scanWake = 1e300;
-    if (roundRobin_) {
-        // Round-robin: resume scanning after the last issued warp.
-        for (int off = 1; off <= n; ++off) {
-            int i = (last + off + n) % n;
-            size_t w = ids[static_cast<size_t>(i)];
-            if (warpReady(w, subcore, now, scanWake)) {
-                issue(w, subcore, now);
-                last = i;
-                issuedAt = i;
-                break;
-            }
-        }
-    } else {
-        // GTO: greedy on the last issued warp, then oldest-first.
-        for (int rank = (last >= 0 ? -1 : 0); rank < n; ++rank) {
-            int i = rank < 0 ? last : rank;
-            if (rank >= 0 && i == last)
-                continue; // already tried greedily
-            size_t w = ids[static_cast<size_t>(i)];
-            if (warpReady(w, subcore, now, scanWake)) {
-                issue(w, subcore, now);
-                last = i;
-                issuedAt = i;
-                break;
-            }
-        }
-    }
-    if (issuedAt < 0) {
-        wake = scanWake;
-        nextEvent = std::min(nextEvent, scanWake);
-        return false;
-    }
-
-    // Prune a warp that just retired from the live list so future scans
-    // skip it. The circular-order successor of the erased slot keeps
-    // the round-robin rotation intact; GTO resets its greedy pointer
-    // (scanning oldest-first next cycle, exactly what the unpruned
-    // scan would have resolved to).
-    if (wFinished_[ids[static_cast<size_t>(issuedAt)]]) {
-        ids.erase(ids.begin() + issuedAt);
-        if (roundRobin_)
-            last = issuedAt - 1;
-        else
-            last = -1;
-    }
-    return true;
-}
-
 double
 SmCore::step(double now)
 {
     double nextEvent = 1e300;
     bool issuedAny = false;
-    for (int sc = 0; sc < gpu_.subcoresPerSm; ++sc)
-        issuedAny |= tryIssueSubcore(sc, now, nextEvent);
+    for (size_t sc = 0; sc < numSubcores_; ++sc) {
+        auto &ids = subcoreWarps_[sc];
+        if (ids.empty())
+            continue;
+
+        // A scan that issued nothing proved no warp here can issue
+        // before `wake`; until then a rescan would fail the same checks
+        // on the same values. A scan that issues leaves `wake` <= now,
+        // so the next step rescans.
+        double &wake = subcoreWake_[sc];
+        if (now < wake) {
+            nextEvent = std::min(nextEvent, wake);
+            continue;
+        }
+
+        const auto &unitFree = unitFreeAt_[sc];
+        int &last = lastIssued_[sc];
+        const int n = static_cast<int>(ids.size());
+        int issuedAt = -1;
+        if (roundRobin_) {
+            // Round-robin: resume scanning after the last issued warp.
+            int i = last;
+            for (int off = 0; off < n; ++off) {
+                if (++i >= n)
+                    i = 0;
+                if (gate(ids[static_cast<size_t>(i)], unitFree) <= now) {
+                    issuedAt = i;
+                    break;
+                }
+            }
+        } else if (last >= 0 &&
+                   gate(ids[static_cast<size_t>(last)], unitFree) <= now) {
+            // GTO: greedy on the last issued warp...
+            issuedAt = last;
+        } else {
+            // ...then oldest-first.
+            for (int i = 0; i < n; ++i) {
+                if (i == last)
+                    continue; // already tried greedily
+                if (gate(ids[static_cast<size_t>(i)], unitFree) <= now) {
+                    issuedAt = i;
+                    break;
+                }
+            }
+        }
+        if (issuedAt < 0) {
+            // Every live warp failed: the sub-core sleeps until the
+            // earliest first-failing check among them.
+            double scanWake = 1e300;
+            for (size_t w : ids)
+                scanWake = std::min(scanWake, firstFailing(w, unitFree, now));
+            wake = scanWake;
+            nextEvent = std::min(nextEvent, scanWake);
+            continue;
+        }
+
+        const size_t w = ids[static_cast<size_t>(issuedAt)];
+        issue(w, sc, now);
+        issuedAny = true;
+        last = issuedAt;
+        if (wFinished_[w]) {
+            // Prune a warp that just retired from the live list so
+            // future scans skip it. The circular-order successor of the
+            // erased slot keeps the round-robin rotation intact; GTO
+            // resets its greedy pointer (scanning oldest-first next
+            // cycle, exactly what the unpruned scan would have resolved
+            // to).
+            ids.erase(ids.begin() + issuedAt);
+            last = roundRobin_ ? issuedAt - 1 : -1;
+        }
+    }
     if (issuedAny || done()) {
         ++issueCycles_;
         return now + 1.0;
@@ -420,6 +423,34 @@ SmCore::step(double now)
 ActivitySample
 SmCore::drainActivity()
 {
+    // Fold the issue counts into the sample; exact (see "Activity fold"
+    // in sm.hpp).
+    auto &acc = activity_.accesses;
+    uint64_t issued = 0;
+    for (size_t c = 0; c < weights_.size(); ++c) {
+        const uint64_t count = weightIssues_[c];
+        if (count == 0)
+            continue;
+        weightIssues_[c] = 0;
+        issued += count;
+        const IssueWeight &iw = weights_[c];
+        const double n = static_cast<double>(count);
+        acc[componentIndex(PowerComponent::InstBuffer)] += n;
+        acc[componentIndex(PowerComponent::Scheduler)] += n;
+        acc[componentIndex(PowerComponent::SmPipeline)] += n;
+        acc[componentIndex(PowerComponent::RegFile)] += n * iw.regWeight;
+        if (iw.powerCompIdx != kNoPowerComp)
+            acc[iw.powerCompIdx] += n * laneFrac_;
+        activity_.unitInsts[iw.unitKind] += n;
+        if (iw.intClass == 1)
+            activity_.intAddInsts += n;
+        else if (iw.intClass == 2)
+            activity_.intMulInsts += n;
+    }
+    while (l1iSums_.size() <= issued)
+        l1iSums_.push_back(l1iSums_.back() + l1iPerIssue_);
+    acc[componentIndex(PowerComponent::InstCache)] += l1iSums_[issued];
+
     ActivitySample out = activity_;
     // Reset the extensive quantities; keep the intensive settings.
     activity_.accesses = {};
@@ -428,6 +459,15 @@ SmCore::drainActivity()
     activity_.intMulInsts = 0;
     activity_.cycles = 0;
     return out;
+}
+
+long
+SmCore::issuedInsts() const
+{
+    int64_t total = 0;
+    for (int64_t n : wIssued_)
+        total += n;
+    return static_cast<long>(total);
 }
 
 } // namespace aw

@@ -17,15 +17,20 @@
  * power-component indices) so the hot path never re-derives them from
  * OpClass switches. Retired warps are pruned from the per-subcore
  * scheduler lists, shrinking the scan as the tail of a kernel drains.
+ * The scan and the ALU issue path are inlined into step(); memory
+ * instructions, nanosleep and barriers take an out-of-line path.
  *
  * The issue loop skips work whose outcome it already knows:
  *  - Readiness cache. Each warp keeps two facts about its next
  *    instruction, refreshed when it issues: the ready time of its
- *    scoreboard producer and its execution unit. A readiness check is
- *    then three compares on flat arrays (issue gate, producer, unit),
- *    and the first failing one is the warp's wake time. Only the
- *    warp's own issues write its scoreboard, so the cached producer
- *    time equals what a scan would read.
+ *    scoreboard producer and its execution unit. Only the warp's own
+ *    issues write its scoreboard, so the cached producer time equals
+ *    what a scan would read. A warp is ready iff its gate, the max of
+ *    its issue time, producer time and unit-free time, is <= now: one
+ *    compare. The wake time of a warp that is not ready is its first
+ *    failing check in issue-rule order (issue, producer, unit), and is
+ *    computed only when a scan issues nothing, as the minimum over all
+ *    the sub-core's live warps (every one of which the scan rejected).
  *  - Sub-core wake bound. A scan that issues nothing records the
  *    earliest wake time it found, and the sub-core returns that bound
  *    without scanning until `now` reaches it. A stalled sub-core's
@@ -37,7 +42,26 @@
  * keeps every fast-forward step, sample split and stall count what a
  * full rescan would produce. All of this is bit-exact with the
  * original array-of-structs implementation that scanned every warp
- * every step: same arithmetic on the same values in the same order.
+ * every step: same decisions on the same values.
+ *
+ * Activity fold. issue() does not add to the activity sample; it
+ * counts the issue against the instruction's weight class (body
+ * instructions with equal register weight, power component, unit kind
+ * and integer class share one), and drainActivity() folds the counts
+ * at sample close: n issues of a class add n to InstBuffer, Scheduler,
+ * SmPipeline, unitInsts and intAdd/intMul, n * regWeight to RegFile
+ * and n * laneFrac to the op's power component. The memory path's
+ * increments (L1D, shared memory, constant cache, L2/NoC, DRAM) stay
+ * per access. The fold is exact: every folded weight is an integer or
+ * a multiple of 1/32 (regWeight and laneFrac are integers times
+ * y / warpSize, with warpSize 32), and a sample's sums stay far below
+ * 2^48, so every product n * w and every partial sum is a double with
+ * no rounding, and any summation order equals the per-issue one. The
+ * L1i share `l1iPerIssue_` is not dyadic for most loop trip counts
+ * (1/14, 1/24, 1/48), so InstCache is never folded as n * x: it is the
+ * sum of n sequential additions of x from zero, exactly what per-issue
+ * accumulation gave, read from a table of those sums (`l1iSums_`)
+ * grown once per core to the largest per-sample count seen.
  *
  * Sharding: an SmCore can stand for one *group* of the chip's SMs (see
  * src/sim/shard.hpp). `smIndex` decorrelates the group's address
@@ -101,7 +125,7 @@ class SmCore
     // registry once per kernel by GpuSimulator::run). issueCycles and
     // stallCycles count step() calls, not simulated cycles: a
     // fast-forward across many idle cycles is one stalled step.
-    long issuedInsts() const { return issuedInsts_; }
+    long issuedInsts() const; ///< instructions issued by all warps
     long issueCycles() const { return issueCycles_; } ///< steps, >=1 issue
     long stallCycles() const { return stallCycles_; } ///< steps, no issue
 
@@ -121,15 +145,24 @@ class SmCore
     {
         double effII = 1;      ///< effective initiation interval
         double latency = 0;    ///< completion latency (cycles)
-        double regWeight = 0;  ///< (regReads + regWrites) * laneFrac
         uint16_t depDist = 0;  ///< scoreboard producer distance
+        uint16_t weightClass = 0; ///< index into weights_
         uint8_t unit = 0;      ///< ExecUnit
-        uint8_t unitKind = 0;  ///< UnitKind (mix classification)
         uint8_t kind = 0;      ///< Kind below
+    };
+
+    /** The activity one issue of an instruction adds (see "Activity
+     *  fold" above); body instructions with equal fields share one. */
+    struct IssueWeight
+    {
+        double regWeight = 0;  ///< (regReads + regWrites) * laneFrac
+        uint8_t unitKind = 0;  ///< UnitKind (mix classification)
         uint8_t intClass = 0;  ///< 0 none, 1 add-like, 2 mul-like
         /** componentIndex(powerComp), or kNoPowerComp for memory ops
          *  and the pipeline component (no extra access recorded). */
         uint8_t powerCompIdx = 0;
+
+        bool operator==(const IssueWeight &) const = default;
     };
 
     enum : uint8_t
@@ -143,19 +176,35 @@ class SmCore
 
     static constexpr size_t kScoreboard = 64;
 
-    /** Attempt to issue for one subcore; returns true if issued. */
-    bool tryIssueSubcore(int subcore, double now, double &nextEvent);
+    /** Max of warp `w`'s issue, producer and unit-free times on
+     *  `unitFree` (its sub-core's): the warp is ready iff it is <= now. */
+    double gate(size_t w, const std::array<double, kNumExecUnits> &unitFree)
+        const;
 
-    /** Can warp `w` issue its next instruction at `now`? If not,
-     *  lowers `wakeTime` to the value of the first failing check. */
-    bool warpReady(size_t w, int subcore, double now,
-                   double &wakeTime) const;
+    /** The first of warp `w`'s checks, in issue-rule order, that fails
+     *  at `now`; only defined for a warp that is not ready. */
+    double firstFailing(size_t w,
+                        const std::array<double, kNumExecUnits> &unitFree,
+                        double now) const;
 
     /** Refresh warp `w`'s readiness cache for its next instruction. */
     void cacheNextInst(size_t w);
 
     /** Issue warp `w`'s next instruction; updates all state. */
-    void issue(size_t w, int subcore, double now);
+    void issue(size_t w, size_t subcore, double now);
+
+    /** When an issued instruction's result is ready, and for how long
+     *  it keeps its execution unit busy. */
+    struct IssueTiming
+    {
+        double completion;
+        double unitBusy;
+    };
+
+    /** The out-of-line part of issue() for memory, nanosleep and
+     *  barrier instructions. */
+    IssueTiming issueSpecial(size_t w, const TraceInst &inst,
+                             const DecodedInst &dec, double now);
 
     /** Handle a BAR.SYNC: block the warp or release its whole CTA. */
     void arriveAtBarrier(size_t w, double now);
@@ -177,7 +226,13 @@ class SmCore
 
     size_t numWarps_ = 0;
     size_t bodySize_ = 0;
+    size_t numSubcores_ = 0;
     std::vector<DecodedInst> decoded_; ///< one per body instruction
+    std::vector<IssueWeight> weights_; ///< distinct issue weights
+    /** Issues per weight class since the last drain. */
+    std::vector<uint64_t> weightIssues_;
+    /** l1iSums_[n]: n sequential additions of l1iPerIssue_ from 0. */
+    std::vector<double> l1iSums_;
 
     // --- per-warp state, structure-of-arrays (indexed by warp id) ------
     std::vector<double> wNextIssue_;   ///< earliest cycle warp may issue
@@ -190,7 +245,9 @@ class SmCore
     std::vector<uint8_t> wFinished_;   ///< warp retired its program
     // Readiness cache for the warp's next instruction (cacheNextInst).
     std::vector<double> wProducerReady_; ///< scoreboard producer ready
-    std::vector<uint8_t> wNextUnit_;     ///< ExecUnit
+    /** ExecUnit. Not a byte: a byte store may alias any object, and
+     *  the issue path would reload every member pointer after it. */
+    std::vector<uint32_t> wNextUnit_;
 
     std::vector<CtaBarrier> barriers_;
     std::vector<std::vector<size_t>> ctaWarps_; ///< warp ids per CTA
@@ -214,7 +271,6 @@ class SmCore
 
     ActivitySample activity_;
 
-    long issuedInsts_ = 0;
     long issueCycles_ = 0;
     long stallCycles_ = 0;
 };

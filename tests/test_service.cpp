@@ -311,10 +311,12 @@ TEST_F(ServiceE2E, IdempotencyKeyReplaysTheRecordedResponse)
 
 TEST_F(ServiceE2E, ImpossibleDeadlineIsAStructuredDeadlineFailure)
 {
-    // Unique heavy kernel: never memoized, never in the result cache,
-    // so the 1 ms deadline always expires before the answer exists.
+    // Unique heavy kernel: never memoized, never in the result cache.
+    // Uncached it takes tens of milliseconds, so the 1 ms deadline
+    // always expires before the answer exists; the watchdog cancels the
+    // run at its next tick, so the test does not wait for it.
     service::EstimateRequest req = estimateOf(
-        testKernel(runUnique("svc_e2e_deadline"), /*iterations=*/64));
+        testKernel(runUnique("svc_e2e_deadline"), /*iterations=*/4096));
     req.deadlineMs = 1;
     service::AwdClient c(quickClientOptions(server_->port()));
     Result<service::EstimateResponse> r = c.estimate(req);
@@ -478,6 +480,9 @@ TEST(ServiceOverload, HardLimitShedsWithRetryAfter)
     // One worker, queue of 2 (soft limit 1): a burst of slow unique
     // kernels must produce at least one structured shed, and sheds
     // must carry the retry-after hint in the client-visible message.
+    // Each kernel simulates for tens of milliseconds uncached, so the
+    // whole burst arrives while the first one runs; its names are
+    // unique per run, so the on-disk result cache cannot answer it.
     service::ServerOptions sopts;
     sopts.threads = 1;
     sopts.maxQueue = 2;
@@ -498,7 +503,8 @@ TEST(ServiceOverload, HardLimitShedsWithRetryAfter)
             copts.ioTimeoutSec = 120; // queued behind slow unique sims
             service::AwdClient c(copts);
             service::EstimateRequest req = estimateOf(testKernel(
-                "svc_overload_" + std::to_string(i), /*iterations=*/64));
+                runUnique("svc_overload_" + std::to_string(i)),
+                /*iterations=*/4096));
             Result<service::EstimateResponse> r = c.estimate(req);
             if (r) {
                 ++ok;
@@ -540,21 +546,27 @@ TEST(ServiceOverload, DegradeAdmittedResultIsNotMemoized)
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
-    // The head job is unique per run so a warm on-disk result cache can
-    // never make it finish while the burst is still being classified.
+    // The head job must still run while the burst is classified, on any
+    // host and at any simulator speed: at detail 8 its kernel would
+    // simulate eight SM groups to the cycle cap, for seconds, and its
+    // own 100 ms deadline cancels it. It is unique per run so a warm
+    // on-disk result cache can never answer it.
     const std::string runTag = std::to_string(
         std::chrono::steady_clock::now().time_since_epoch().count());
     const KernelDescriptor probe = testKernel("svc_degrade_probe");
     auto requestFrame = [](const std::string &id,
-                           const KernelDescriptor &k, int detail) {
+                           const KernelDescriptor &k, int detail,
+                           double deadlineMs = 0) {
         service::EstimateRequest req = estimateOf(k);
         req.id = id;
         req.detail = detail;
+        req.deadlineMs = deadlineMs;
         return service::encodeFrame(service::requestToJson(req));
     };
     std::string burst;
-    burst += requestFrame(
-        "busy", testKernel("svc_degrade_busy_" + runTag, 64), 0);
+    burst += requestFrame("busy",
+                          testKernel("svc_degrade_busy_" + runTag, 1 << 16),
+                          /*detail=*/8, /*deadlineMs=*/100);
     burst += requestFrame("f1", testKernel("svc_degrade_f1"), 0);
     burst += requestFrame("f2", testKernel("svc_degrade_f2"), 0);
     burst += requestFrame("f3", testKernel("svc_degrade_f3"), 0);
@@ -573,6 +585,11 @@ TEST(ServiceOverload, DegradeAdmittedResultIsNotMemoized)
         service::EstimateResponse resp;
         std::string perr;
         ASSERT_TRUE(service::parseResponse(v, resp, perr)) << perr;
+        if (resp.id == "busy") {
+            EXPECT_EQ(resp.status, "deadline")
+                << "the head job finished before its deadline";
+            continue;
+        }
         EXPECT_EQ(resp.status, "ok") << resp.errorMessage;
         if (resp.id == "probe")
             probeDegraded = resp.degraded;
@@ -703,13 +720,14 @@ TEST(ServiceLatency, PipelinedHitsDoNotWaitForTheNextRequest)
     ASSERT_TRUE(conn.sendAll(frameOf(hit, "prime")));
     ASSERT_TRUE(conn.readResponses(1, primed));
 
-    // The trigger must really simulate, for longer than one spacing:
-    // a result-cache entry from an earlier run would answer it at once.
+    // The trigger must really simulate, for several spacings (4096
+    // iterations take tens of milliseconds uncached): a result-cache
+    // entry from an earlier run would answer it at once.
     const std::string triggerName =
         "svc_latency_trigger_" + std::to_string(::getpid()) + "_" +
         std::to_string(steady_clock::now().time_since_epoch().count());
     const service::EstimateRequest trigger =
-        estimateOf(testKernel(triggerName, /*iterations=*/1024));
+        estimateOf(testKernel(triggerName, /*iterations=*/4096));
 
     // Reply arrival times by request id ("h<slot>", "trigger").
     std::vector<steady_clock::time_point> sentAt(kMaxSlots);
@@ -850,6 +868,21 @@ statOf(service::AwdServer &server, const std::string &key)
     return static_cast<long>(v.at("stats").at(key).asNumber());
 }
 
+/** Polls the daemon's stats until counter `key` reads `value` or 10 s
+ *  pass; returns the last reading. */
+long
+awaitStat(service::AwdServer &server, const std::string &key, long value)
+{
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    long v = statOf(server, key);
+    while (v != value && std::chrono::steady_clock::now() < giveUp) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        v = statOf(server, key);
+    }
+    return v;
+}
+
 std::string
 frameOf(const service::EstimateRequest &req)
 {
@@ -880,13 +913,16 @@ TEST(ServiceCoalesce, FollowerCancelSemantics)
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
-    // Slow enough (~hundreds of ms) that a duplicate sent a few tens of
-    // ms later reliably attaches while the leader is still simulating,
-    // and that an aborted connection (noticed within one ~50 ms poll
-    // cycle) detaches well before the computation finishes.
+    // Each duplicate is sent as soon as its leader is admitted, and the
+    // hang-ups follow as soon as it has attached: about a millisecond in
+    // all, well inside the leader's tens of milliseconds of simulation.
+    // The reactor notices an aborted connection at once (it polls every
+    // session socket).
     constexpr int kSlow = 4096;
-    const auto pause = [] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    const auto sendLeader = [&](RawConn &leader, const std::string &frame) {
+        const long admitted = statOf(server, "admitted");
+        return leader.connectTo(server.port()) && leader.sendAll(frame) &&
+               awaitStat(server, "admitted", admitted + 1) == admitted + 1;
     };
     const auto settle = [] {
         std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -898,13 +934,10 @@ TEST(ServiceCoalesce, FollowerCancelSemantics)
         const std::string frame =
             frameOf(estimateOf(testKernel(runUnique("svc_coal_a"), kSlow)));
         RawConn leader, follower;
-        ASSERT_TRUE(leader.connectTo(server.port()));
-        ASSERT_TRUE(leader.sendAll(frame));
-        pause();
+        ASSERT_TRUE(sendLeader(leader, frame)) << "leader was not admitted";
         ASSERT_TRUE(follower.connectTo(server.port()));
         ASSERT_TRUE(follower.sendAll(frame));
-        pause();
-        ASSERT_EQ(statOf(server, "coalesced"), 1)
+        ASSERT_EQ(awaitStat(server, "coalesced", 1), 1)
             << "duplicate did not attach; leader finished too fast";
         follower.abortConn();
         settle();
@@ -929,13 +962,11 @@ TEST(ServiceCoalesce, FollowerCancelSemantics)
         const std::string followerFrame = frameOf(req);
 
         RawConn leader, follower;
-        ASSERT_TRUE(leader.connectTo(server.port()));
-        ASSERT_TRUE(leader.sendAll(leaderFrame));
-        pause();
+        ASSERT_TRUE(sendLeader(leader, leaderFrame))
+            << "leader was not admitted";
         ASSERT_TRUE(follower.connectTo(server.port()));
         ASSERT_TRUE(follower.sendAll(followerFrame));
-        pause();
-        ASSERT_EQ(statOf(server, "coalesced"), 2);
+        ASSERT_EQ(awaitStat(server, "coalesced", 2), 2);
         leader.abortConn();
         settle();
         EXPECT_EQ(statOf(server, "coalesce_cancelled"), 0)
@@ -955,13 +986,10 @@ TEST(ServiceCoalesce, FollowerCancelSemantics)
         const std::string frame =
             frameOf(estimateOf(testKernel(runUnique("svc_coal_c"), kSlow)));
         RawConn leader, follower;
-        ASSERT_TRUE(leader.connectTo(server.port()));
-        ASSERT_TRUE(leader.sendAll(frame));
-        pause();
+        ASSERT_TRUE(sendLeader(leader, frame)) << "leader was not admitted";
         ASSERT_TRUE(follower.connectTo(server.port()));
         ASSERT_TRUE(follower.sendAll(frame));
-        pause();
-        ASSERT_EQ(statOf(server, "coalesced"), 3);
+        ASSERT_EQ(awaitStat(server, "coalesced", 3), 3);
         leader.abortConn();
         follower.abortConn();
         settle();
@@ -1517,14 +1545,18 @@ TEST(ServiceStats, CountersExactlyMatchScriptedOutcomes)
     }
 
     // Phase 5: one coalesced pair (duplicate attaches to the running
-    // leader; both answered from one computation).
+    // leader; both answered from one computation). The duplicate is
+    // sent as soon as the leader is admitted, which the leader's tens
+    // of milliseconds of simulation outlast by far.
     {
         const std::string frame = frameOf(estimateOf(
             testKernel(runUnique("svc_ledger_coal"), /*iterations=*/4096)));
+        const long admitted = statOf(server, "admitted");
         RawConn leader, follower;
         ASSERT_TRUE(leader.connectTo(server.port()));
         ASSERT_TRUE(leader.sendAll(frame));
-        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+        ASSERT_EQ(awaitStat(server, "admitted", admitted + 1), admitted + 1)
+            << "leader was not admitted";
         ASSERT_TRUE(follower.connectTo(server.port()));
         ASSERT_TRUE(follower.sendAll(frame));
         std::vector<std::string> one, two;

@@ -19,6 +19,7 @@
 
 #include "common/log.hpp"
 #include "common/parallel.hpp"
+#include "core/calibration.hpp"
 #include "core/power_model.hpp"
 #include "core/result_cache.hpp"
 #include "obs/metrics.hpp"
@@ -432,6 +433,26 @@ TEST(SimParallel, OutputBitsAreGolden)
         EXPECT_EQ(pascalDigest(detailed), "4b432a1470b37be9")
             << "Pascal SASS detail 8, " << threads << " threads";
     }
+
+    // The 102 Volta tuning microbenchmarks, as calibration simulates
+    // them: on the public config and on the silicon oracle's hidden one
+    // (jittered memory latencies and bandwidth). Their loop bodies fit
+    // the L0 i-cache and run 24 iterations, so each issue's L1i share
+    // (1/24) is not dyadic and InstCache pins the order of its
+    // additions.
+    const std::vector<Microbenchmark> suite = dynamicPowerSuite(voltaGV100());
+    ASSERT_EQ(suite.size(), 102u);
+    auto suiteDigest = [&](const GpuSimulator &s) {
+        OutputDigest d;
+        for (const Microbenchmark &m : suite)
+            d.addRun(s.runSass(m.kernel, gto));
+        return d.hex();
+    };
+    EXPECT_EQ(suiteDigest(sim), "246bc2b4398ae891")
+        << "tuning suite, public config";
+    const GpuSimulator hidden(sharedVoltaCard().hiddenConfig());
+    EXPECT_EQ(suiteDigest(hidden), "331075f15465b3a4")
+        << "tuning suite, hidden config";
 }
 
 // --- cancellation ------------------------------------------------------
