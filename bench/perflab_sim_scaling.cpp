@@ -22,6 +22,12 @@
  *    slowest-shard busy time. This is the machine-independent quantity
  *    the shard partition actually determines (`speedup_definition`
  *    names it in the artifact), gated at >= 4x.
+ *
+ * The sweep reads its times from the profiler: a run's wall time is its
+ * `sim/kernel` zone and a shard's busy time its `sim/wave` zone. It
+ * turns the profiler on, clears it before each run, and restores the
+ * earlier state afterwards, so an AW_TRACE_OUT trace of aw_bench keeps
+ * only what ran after it.
  */
 #include <algorithm>
 #include <memory>
@@ -29,6 +35,7 @@
 #include <vector>
 
 #include "core/calibration.hpp"
+#include "obs/trace.hpp"
 #include "perflab/perflab.hpp"
 #include "ubench/microbench.hpp"
 
@@ -80,7 +87,8 @@ scalingModel()
 constexpr int kDetail = 8;
 
 /** One detail-8 simulation of both kernels on one card, accumulating
- *  watts, wall seconds, and each run's per-shard busy times. */
+ *  watts and, when `timed`, wall seconds and each run's per-shard busy
+ *  times. A timed run clears the profiler, which must be on. */
 struct SweepAccum
 {
     double watts = 0;
@@ -90,19 +98,30 @@ struct SweepAccum
 
 void
 runPair(const GpuConfig &gpu, const AccelWattchModel &model, int threads,
-        SweepAccum &acc)
+        bool timed, SweepAccum &acc)
 {
     GpuSimulator sim(gpu);
     SimOptions opts;
     opts.detailSms = kDetail;
     opts.simThreads = threads;
+    obs::Profiler &prof = obs::Profiler::instance();
     for (const KernelDescriptor &k :
          {scalingComputeKernel(), scalingMemoryKernel()}) {
+        if (timed)
+            prof.clear();
         KernelActivity act = sim.runSass(k, opts);
         acc.watts += model.evaluateKernel(act).totalW();
-        const SimRunStats &stats = lastSimRunStats();
-        acc.wallSec += stats.simulateSec;
-        acc.shardSec.push_back(stats.shardBusySec);
+        if (!timed)
+            continue;
+        // Start order, which is shard order in a serial run.
+        std::vector<double> shardSec;
+        for (const obs::TraceEvent &e : prof.events()) {
+            if (e.name == "sim/wave")
+                shardSec.push_back(e.durUs * 1e-6);
+            else if (e.name == "sim/kernel")
+                acc.wallSec += e.durUs * 1e-6;
+        }
+        acc.shardSec.push_back(std::move(shardSec));
     }
 }
 
@@ -129,7 +148,7 @@ scalingRound(perflab::BenchContext &)
     // compares this round time and checksum across thread settings.
     for (const GpuConfig &gpu : g_scaling.cards) {
         SweepAccum acc;
-        runPair(gpu, *g_scaling.model, /*threads=*/0, acc);
+        runPair(gpu, *g_scaling.model, /*threads=*/0, false, acc);
         g_scaling.watts += acc.watts;
     }
 }
@@ -141,6 +160,9 @@ scalingFini(perflab::BenchContext &ctx)
     ctx.setExtra("cards", static_cast<double>(g_scaling.cards.size()));
     ctx.setExtra("watts_checksum", g_scaling.watts);
 
+    obs::Profiler &prof = obs::Profiler::instance();
+    const bool wasEnabled = prof.enabled();
+    prof.setEnabled(true);
     const int threadCounts[] = {1, 2, 4, 8};
     double checksum1 = 0;
     bool diverged = false;
@@ -148,7 +170,7 @@ scalingFini(perflab::BenchContext &ctx)
     for (int t : threadCounts) {
         SweepAccum acc;
         for (const GpuConfig &gpu : g_scaling.cards)
-            runPair(gpu, *g_scaling.model, t, acc);
+            runPair(gpu, *g_scaling.model, t, true, acc);
         std::string suffix = "_t" + std::to_string(t);
         ctx.setExtra("watts_checksum" + suffix, acc.watts);
         ctx.setExtra("wall_sec" + suffix, acc.wallSec);
@@ -166,7 +188,7 @@ scalingFini(perflab::BenchContext &ctx)
             for (int rep = 0; rep < 2; ++rep) {
                 SweepAccum again;
                 for (const GpuConfig &gpu : g_scaling.cards)
-                    runPair(gpu, *g_scaling.model, 1, again);
+                    runPair(gpu, *g_scaling.model, 1, true, again);
                 for (size_t r = 0; r < times.size(); ++r)
                     for (size_t s = 0; s < times[r].size(); ++s)
                         times[r][s] =
@@ -183,6 +205,8 @@ scalingFini(perflab::BenchContext &ctx)
         if (t == 8)
             wall8 = acc.wallSec;
     }
+    prof.clear();
+    prof.setEnabled(wasEnabled);
 
     double coldSpeedup = critical1 > 0 ? serial1 / critical1 : 0;
     double wallSpeedup = wall8 > 0 ? wall1 / wall8 : 0;

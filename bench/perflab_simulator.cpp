@@ -3,16 +3,15 @@
  * PerfLab benches for the performance-model substrate (formerly the
  * google-benchmark `perf_simulator` binary): SASS/PTX trace generation,
  * the cache model, single-kernel simulation, the silicon oracle, and
- * AccelWattch power evaluation — plus `sim_phases`, the phase-time
- * attribution bench that runs the simulator with AW_PHASES-style
- * accounting live and writes `results/BENCH_sim_phases.json`, the
- * wall-time breakdown the ROADMAP-1 parallelization work starts from.
+ * AccelWattch power evaluation — plus `sim_phases`, which runs the
+ * simulator with the profiler on and writes the zones' self-time
+ * breakdown of its wall time to `results/BENCH_sim_phases.json`.
  */
 #include <ctime>
 #include <memory>
 
 #include "core/calibration.hpp"
-#include "obs/phase_timer.hpp"
+#include "obs/trace.hpp"
 #include "perflab/perflab.hpp"
 #include "sim/cache.hpp"
 #include "ubench/microbench.hpp"
@@ -275,12 +274,13 @@ EvalState g_eval;
 
 // ---------------------------------------------------- phase attribution
 
-// sim_phases: run the simulate+evaluate hot path with the PhaseTimer
-// layer live and attribute the rounds' wall time to named phases. The
-// resulting BENCH_sim_phases.json is the serial-time breakdown the
-// ROADMAP-1 parallelization PR targets; the bench fails if less than
-// 95% of wall time lands in a named phase (the attribution would be
-// lying about where time goes).
+// sim_phases: run the simulate+evaluate hot path with the profiler on
+// and attribute the rounds' wall time to zones by self time: tracegen,
+// setup, the issue loop (`sim/wave`), memory, sampling, finalize and
+// evaluation. The bench fails if less than 95% of wall time lands in a
+// zone (the attribution would be lying about where time goes). It
+// clears the profiler, so an AW_TRACE_OUT trace of aw_bench keeps only
+// what ran after it.
 struct PhasesState
 {
     std::unique_ptr<GpuSimulator> sim;
@@ -295,18 +295,18 @@ phasesInit(perflab::BenchContext &)
 {
     g_phases.sim = std::make_unique<GpuSimulator>(voltaGV100());
     g_phases.model = std::make_unique<AccelWattchModel>(syntheticModel());
-    g_phases.wasEnabled = obs::PhaseTimers::instance().enabled();
+    g_phases.wasEnabled = obs::Profiler::instance().enabled();
     g_phases.watts = 0;
-    obs::PhaseTimers::instance().setEnabled(true);
+    obs::Profiler::instance().setEnabled(true);
 }
 
 void
 phasesRound(perflab::BenchContext &ctx)
 {
-    // Warmup rounds accumulate too; drop them so phase seconds line up
-    // with the harness's timed-round total.
+    // Warmup rounds record too; drop them so zone seconds line up with
+    // the harness's timed-round total.
     if (ctx.firstTimedRound())
-        obs::PhaseTimers::instance().reset();
+        obs::Profiler::instance().clear();
     KernelActivity compute = g_phases.sim->runSass(computeKernel());
     KernelActivity memory = g_phases.sim->runSass(memoryKernel());
     g_phases.watts += g_phases.model->evaluateKernel(compute).totalW();
@@ -316,30 +316,30 @@ phasesRound(perflab::BenchContext &ctx)
 void
 phasesFini(perflab::BenchContext &ctx)
 {
-    auto &timers = obs::PhaseTimers::instance();
-    auto snap = timers.snapshot();
-    double phaseSec = timers.totalSec();
+    obs::Profiler &prof = obs::Profiler::instance();
+    const std::vector<obs::ZoneStat> zones = prof.zoneStats();
+    double zoneSec = 0;
+    for (const obs::ZoneStat &z : zones)
+        zoneSec += z.selfUs * 1e-6;
     double wallSec = ctx.stats().sum();
-    double coverage = wallSec > 0 ? phaseSec / wallSec : 0;
+    double coverage = wallSec > 0 ? zoneSec / wallSec : 0;
 
-    timers.publish();
-    for (size_t i = 0; i < obs::kNumSimPhases; ++i) {
-        std::string name =
-            obs::simPhaseName(static_cast<obs::SimPhase>(i));
-        ctx.setExtra("phase_" + name + "_sec", snap[i].sec);
-        ctx.setExtra("phase_" + name + "_frac",
-                     phaseSec > 0 ? snap[i].sec / phaseSec : 0);
+    for (const obs::ZoneStat &z : zones) {
+        ctx.setExtra(z.name + ".count", static_cast<double>(z.count));
+        ctx.setExtra(z.name + ".self_sec", z.selfUs * 1e-6);
+        ctx.setExtra(z.name + ".frac",
+                     zoneSec > 0 ? z.selfUs * 1e-6 / zoneSec : 0);
     }
-    ctx.setExtra("phase_total_sec", phaseSec);
+    ctx.setExtra("zone_total_sec", zoneSec);
     ctx.setExtra("wall_sec", wallSec);
     ctx.setExtra("coverage", coverage);
     ctx.setExtra("watts_checksum", g_phases.watts);
     if (coverage < 0.95)
-        ctx.fail("phase attribution covers only " +
+        ctx.fail("zone attribution covers only " +
                  std::to_string(100 * coverage) +
                  "% of wall time (want >= 95%)");
 
-    timers.setEnabled(g_phases.wasEnabled);
+    prof.setEnabled(g_phases.wasEnabled);
     g_phases.sim.reset();
     g_phases.model.reset();
 }
@@ -347,7 +347,7 @@ phasesFini(perflab::BenchContext &ctx)
 [[maybe_unused]] const bool regPhases = perflab::registerBench({
     .name = "sim_phases",
     .description =
-        "simulator wall-time attribution across named phases (>= 95%)",
+        "simulator wall-time attribution across profiler zones (>= 95%)",
     .defaultRounds = 10,
     .init = phasesInit,
     .round = phasesRound,

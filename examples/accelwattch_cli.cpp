@@ -63,7 +63,6 @@
 #include "hw/fault_injector.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/powerscope.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -128,8 +127,6 @@ writeSinks(const std::string &metricsOut, const std::string &traceOut,
     // missing parent directories — a run can no longer die at the finish
     // line because results/ does not exist yet.
     if (!metricsOut.empty()) {
-        // Surface the AW_PHASES breakdown (no-op when nothing recorded).
-        obs::PhaseTimers::instance().publish();
         if (metricsOut.size() > 4 &&
             metricsOut.compare(metricsOut.size() - 4, 4, ".csv") == 0)
             obs::writeMetricsCsv(metricsOut);
@@ -220,7 +217,6 @@ usage()
 int
 main(int argc, char **argv)
 {
-    obs::initPhaseTimersFromEnv();
     KernelDescriptor k = makeKernel("cli_kernel",
                                     {{OpClass::FpFma, 0.6},
                                      {OpClass::IntAdd, 0.4}},

@@ -550,12 +550,13 @@ case "${sanitizer}" in
         chaos "${build_dir:-build-asan}"
         powerscope "${build_dir:-build-asan}"
     fi
-    # The TSan pass targets the suites that drive the parallel engine
-    # and the cache; the rest of the tree is serial and already covered
-    # by the address pass.
+    # The TSan pass targets the suites that drive the parallel engine,
+    # the cache and the profiler's per-thread tallies (written by shard
+    # workers, read across threads); the rest of the tree is serial and
+    # already covered by the address pass.
     tsan_dir=${build_dir:+${build_dir}-tsan}
     sweep thread "${tsan_dir:-build-tsan}" \
-        "-R test_parallel|test_sim_parallel|test_result_cache|test_calibration|test_integration"
+        "-R test_parallel|test_sim_parallel|test_result_cache|test_calibration|test_integration|test_trace_export"
     if [[ ${configure_only} -eq 0 ]]; then
         simpar "${tsan_dir:-build-tsan}"
         perfgate

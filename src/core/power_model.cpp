@@ -5,7 +5,7 @@
 
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
+#include "obs/trace.hpp"
 
 namespace aw {
 
@@ -74,7 +74,7 @@ AccelWattchModel::evaluate(const ActivitySample &sample) const
 PowerBreakdown
 AccelWattchModel::evaluateKernel(const KernelActivity &activity) const
 {
-    obs::PhaseScope evaluatePhase(obs::SimPhase::Evaluate);
+    AW_PROF_SCOPE("model/evaluate");
     if (activity.samples.empty())
         fatal("evaluateKernel: kernel %s has no activity samples",
               activity.kernelName.c_str());

@@ -7,7 +7,6 @@
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/trace.hpp"
 #include "solver/qp.hpp"
 
@@ -113,7 +112,6 @@ tuneDynamicPower(const std::vector<Microbenchmark> &suite,
                  const std::vector<ActivitySample> *aggregates)
 {
     AW_PROF_SCOPE("tune/qp");
-    obs::PhaseScope tunePhase(obs::SimPhase::Tune);
     const size_t m = suite.size();
     const size_t n = kNumPowerComponents;
     if (m == 0 || measuredPowerW.size() != m || activities.size() != m)

@@ -8,8 +8,9 @@
  *   Gauge     — last-written value (a convergence residual, a MAPE);
  *   Histogram — value distribution over geometric buckets with
  *               approximate percentiles and exact count/sum/min/max;
- *   Timer     — a Histogram of measured wall-clock durations with an
- *               RAII scope helper.
+ *   Timer     — a Histogram of wall-clock durations its caller
+ *               measured (scoped timing is a profiling zone,
+ *               obs/trace.hpp).
  *
  * Concurrency model: registration (the name lookup) takes a mutex, but
  * the returned references are stable for the life of the process, so
@@ -25,7 +26,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -127,34 +127,7 @@ class Histogram
 class Timer
 {
   public:
-    using Clock = std::chrono::steady_clock;
-
-    /** RAII measurement into the parent timer. */
-    class Scope
-    {
-      public:
-        explicit Scope(Timer &t) : t_(&t), start_(Clock::now()) {}
-        ~Scope() { stop(); }
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-
-        /** Record now instead of at destruction. */
-        void stop()
-        {
-            if (!t_)
-                return;
-            std::chrono::duration<double> d = Clock::now() - start_;
-            t_->record(d.count());
-            t_ = nullptr;
-        }
-
-      private:
-        Timer *t_;
-        Clock::time_point start_;
-    };
-
     void record(double seconds) { h_.record(seconds); }
-    Scope scope() { return Scope(*this); }
     uint64_t count() const { return h_.count(); }
     double totalSec() const { return h_.stats().sum; }
     HistogramStats stats() const { return h_.stats(); }

@@ -8,7 +8,6 @@
 #include "common/table.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/powerscope.hpp"
 #include "obs/trace.hpp"
 
@@ -58,7 +57,8 @@ Telemetry::toJson() const
         first = false;
         out << "\n  {\"name\": \"" << jsonEscape(z.name)
             << "\", \"count\": " << z.count
-            << ", \"total_us\": " << jsonNumber(z.totalUs) << "}";
+            << ", \"total_us\": " << jsonNumber(z.totalUs)
+            << ", \"self_us\": " << jsonNumber(z.selfUs) << "}";
     }
     out << "\n],\n";
 
@@ -125,9 +125,6 @@ std::string g_envPowerScopeOut;
 void
 flushEnvSinks()
 {
-    // Phase gauges first, so AW_METRICS_OUT telemetry carries the
-    // breakdown; a no-op (no gauges created) when AW_PHASES is off.
-    PhaseTimers::instance().publish();
     if (!g_envMetricsOut.empty()) {
         if (g_envMetricsOut.size() > 4 &&
             g_envMetricsOut.compare(g_envMetricsOut.size() - 4, 4,
@@ -167,7 +164,6 @@ initSinksFromEnv()
         g_envTraceOut = env;
         Profiler::instance().setEnabled(true);
     }
-    initPhaseTimersFromEnv();
     if (const char *env = std::getenv("AW_POWERSCOPE"); env && *env) {
         g_envPowerScopeOut = env;
         PowerScope::instance().setEnabled(true);

@@ -49,7 +49,7 @@ class Telemetry
      * The run-telemetry JSON document:
      *   {"schema": "aw.telemetry.v1",
      *    "metrics": {<registry toJson>},
-     *    "zones": [{"name","count","total_us"}...],
+     *    "zones": [{"name","count","total_us","self_us"}...],
      *    "kernels": [{"name","phase","cycles",...}...]}
      */
     std::string toJson() const;

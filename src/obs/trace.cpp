@@ -14,20 +14,31 @@ namespace aw::obs {
 /**
  * Per-thread recording state. Owned jointly by the thread (via a
  * thread_local pointer) and the global buffer list (shared_ptr), so
- * events survive thread exit until the next clear().
+ * events and tallies survive thread exit until the next clear().
  */
 struct Profiler::ThreadBuf
 {
     struct Open
     {
         const char *name;
-        double tsUs;
+        ZoneKind kind;
+        double tsUs = 0;
+        double childUs = 0; ///< inclusive time of the closed children
     };
 
-    std::mutex mu; ///< serializes the owning thread vs. exporters
+    struct Tally
+    {
+        const char *name;
+        uint64_t count = 0;
+        double totalUs = 0;
+        double selfUs = 0;
+    };
+
     uint32_t tid = 0;
-    std::vector<Open> stack;
+    std::vector<Open> stack; ///< the owning thread's alone: no lock
+    std::mutex mu;           ///< guards done and tallies vs. readers
     std::vector<TraceEvent> done;
+    std::vector<Tally> tallies; ///< one per name pointer, first-use order
 };
 
 namespace {
@@ -79,13 +90,15 @@ Profiler::setEnabled(bool on)
 }
 
 void
-Profiler::begin(const char *name)
+Profiler::begin(const char *name, ZoneKind kind)
 {
+    ThreadBuf &buf = localBuf();
+    buf.stack.push_back({name, kind});
+    // Stamp last and, in end(), first: the bookkeeping lands in the
+    // parent, not in the zone it surrounds.
     std::chrono::duration<double, std::micro> ts =
         std::chrono::steady_clock::now() - epoch_;
-    ThreadBuf &buf = localBuf();
-    std::lock_guard<std::mutex> lock(buf.mu);
-    buf.stack.push_back({name, ts.count()});
+    buf.stack.back().tsUs = ts.count();
 }
 
 void
@@ -94,15 +107,29 @@ Profiler::end()
     std::chrono::duration<double, std::micro> ts =
         std::chrono::steady_clock::now() - epoch_;
     ThreadBuf &buf = localBuf();
-    std::lock_guard<std::mutex> lock(buf.mu);
     if (buf.stack.empty())
-        return; // zone opened before enable / after clear
-    ThreadBuf::Open open = buf.stack.back();
+        return; // unbalanced end(): nothing open on this thread
+    const ThreadBuf::Open open = buf.stack.back();
     buf.stack.pop_back();
+    const double durUs = std::max(0.0, ts.count() - open.tsUs);
+    if (!buf.stack.empty())
+        buf.stack.back().childUs += durUs;
+
+    std::lock_guard<std::mutex> lock(buf.mu);
+    auto tally = std::find_if(
+        buf.tallies.begin(), buf.tallies.end(),
+        [&](const ThreadBuf::Tally &t) { return t.name == open.name; });
+    if (tally == buf.tallies.end())
+        tally = buf.tallies.insert(tally, {open.name});
+    tally->count += 1;
+    tally->totalUs += durUs;
+    tally->selfUs += durUs - open.childUs;
+    if (open.kind == ZoneKind::TallyOnly)
+        return;
     TraceEvent e;
     e.name = open.name;
     e.tsUs = open.tsUs;
-    e.durUs = std::max(0.0, ts.count() - open.tsUs);
+    e.durUs = durUs;
     e.tid = buf.tid;
     e.depth = static_cast<uint32_t>(buf.stack.size());
     buf.done.push_back(std::move(e));
@@ -140,16 +167,33 @@ std::vector<ZoneStat>
 Profiler::zoneStats() const
 {
     std::map<std::string, ZoneStat> agg;
-    for (const TraceEvent &e : events()) {
-        ZoneStat &s = agg[e.name];
-        s.name = e.name;
-        s.count += 1;
-        s.totalUs += e.durUs;
+    {
+        std::lock_guard<std::mutex> listLock(g_bufListMutex);
+        for (const auto &buf : bufList()) {
+            std::lock_guard<std::mutex> lock(buf->mu);
+            for (const ThreadBuf::Tally &t : buf->tallies) {
+                ZoneStat &s = agg[t.name];
+                s.count += t.count;
+                s.totalUs += t.totalUs;
+                s.selfUs += t.selfUs;
+            }
+        }
+    }
+    {
+        std::lock_guard<std::mutex> lock(g_externalMutex);
+        for (const TraceEvent &e : externalList()) {
+            ZoneStat &s = agg[e.name];
+            s.count += 1;
+            s.totalUs += e.durUs;
+            s.selfUs += e.durUs;
+        }
     }
     std::vector<ZoneStat> out;
     out.reserve(agg.size());
-    for (auto &[name, s] : agg)
+    for (auto &[name, s] : agg) {
+        s.name = name;
         out.push_back(std::move(s));
+    }
     return out;
 }
 
@@ -183,8 +227,8 @@ Profiler::clear()
     std::lock_guard<std::mutex> listLock(g_bufListMutex);
     for (const auto &buf : bufList()) {
         std::lock_guard<std::mutex> lock(buf->mu);
-        buf->stack.clear();
         buf->done.clear();
+        buf->tallies.clear();
     }
 }
 

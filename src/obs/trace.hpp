@@ -1,6 +1,7 @@
 /**
  * @file
- * Scoped profiling zones with Chrome trace-event export.
+ * Scoped profiling zones with Chrome trace-event export and per-zone
+ * tallies.
  *
  * Usage:
  *     void GpuSimulator::run(...) {
@@ -14,15 +15,30 @@
  * trace-event JSON format that chrome://tracing and Perfetto load
  * directly ("X" complete events with microsecond timestamps).
  *
- * Cost model: tracing is off by default. A disabled AW_PROF_SCOPE is
- * one relaxed atomic load and two branches — cheap enough to leave in
- * the simulator's per-kernel paths (per-cycle paths should still not
- * carry zones). Enabled zones take one steady_clock read at entry and
- * exit plus a short lock on the owning thread's buffer.
+ * Tallies: every closed zone also adds to its thread's tally for the
+ * zone name: count, inclusive time, and exclusive (self) time. A zone's
+ * self time is its inclusive time minus that of the zones nested in it
+ * on the same thread, so on one thread the self times of all zones sum
+ * to the inclusive time of the outermost ones. zoneStats() merges the
+ * tallies across threads.
  *
- * Besides raw events, the profiler keeps per-zone aggregates (count and
- * total inclusive time) so the telemetry sink can report where a run's
- * wall clock went without shipping the full event stream.
+ * Tally-only zones: a site that runs many times per kernel (one memory
+ * instruction, one sample close) passes ZoneKind::TallyOnly. It nests
+ * and tallies like any zone but adds no trace event, so a trace holds a
+ * bounded number of events per kernel.
+ *
+ * Parallel regions: nesting is per thread, so a zone that spans a
+ * parallel region whose workers open zones does not see them as
+ * children. Its self time then includes the time it waited for them,
+ * and the self times of all threads add up to more than the wall time.
+ * `sim/kernel` is such a zone at detail > 1 with more than one
+ * simulator thread.
+ *
+ * Cost model: the profiler is off by default. A disabled AW_PROF_SCOPE
+ * is one relaxed atomic load and two branches, with no clock read —
+ * cheap enough to leave on the simulator's per-instruction paths.
+ * Enabled zones take one steady_clock read at entry and exit plus a
+ * short lock on the owning thread's buffer at exit.
  */
 #pragma once
 
@@ -50,6 +66,14 @@ struct ZoneStat
     std::string name;
     uint64_t count = 0;
     double totalUs = 0; ///< summed inclusive time
+    double selfUs = 0;  ///< summed exclusive time (see the file comment)
+};
+
+/** Whether a zone's instances also become trace events. */
+enum class ZoneKind : uint8_t
+{
+    Traced,    ///< tally plus one trace event per instance
+    TallyOnly, ///< tally only, for sites that run many times per kernel
 };
 
 /** Process-wide zone collector. */
@@ -68,7 +92,7 @@ class Profiler
 
     /** Open a zone on the calling thread. `name` must outlive the
      *  profiler (string literals; zone names are a fixed vocabulary). */
-    void begin(const char *name);
+    void begin(const char *name, ZoneKind kind = ZoneKind::Traced);
 
     /** Close the calling thread's innermost zone. */
     void end();
@@ -79,7 +103,9 @@ class Profiler
      * reactor, a worker, and the reactor again is stamped by its
      * owners and emitted whole once it completes. The event's tsUs
      * must be relative to epoch() (see below). Emission ignores the
-     * enabled flag — callers that emit gate themselves.
+     * enabled flag — callers that emit gate themselves. zoneStats()
+     * counts an emitted event's whole duration as its self time: it
+     * sits on no zone stack.
      */
     void emit(TraceEvent event);
 
@@ -93,14 +119,16 @@ class Profiler
     /** All completed events, merged across threads, start-time order. */
     std::vector<TraceEvent> events() const;
 
-    /** Per-name aggregates, name order. */
+    /** Per-name tallies merged across threads, plus the emitted
+     *  events, name order. */
     std::vector<ZoneStat> zoneStats() const;
 
     /** Chrome trace-event JSON ({"traceEvents": [...]}) for
      *  chrome://tracing / Perfetto. */
     std::string chromeTraceJson() const;
 
-    /** Drop all recorded events and aggregates (keeps enabled state). */
+    /** Drop all recorded events and tallies (keeps enabled state). A
+     *  zone open across the call is recorded when it closes. */
     void clear();
 
     struct ThreadBuf; ///< implementation detail (public for the TU)
@@ -118,11 +146,11 @@ class Profiler
 class ZoneScope
 {
   public:
-    explicit ZoneScope(const char *name)
+    explicit ZoneScope(const char *name, ZoneKind kind = ZoneKind::Traced)
         : active_(Profiler::instance().enabled())
     {
         if (active_)
-            Profiler::instance().begin(name);
+            Profiler::instance().begin(name, kind);
     }
     ~ZoneScope()
     {
@@ -139,8 +167,9 @@ class ZoneScope
 #define AW_PROF_CONCAT2(a, b) a##b
 #define AW_PROF_CONCAT(a, b) AW_PROF_CONCAT2(a, b)
 
-/** Open a profiling zone covering the rest of the enclosing scope. */
-#define AW_PROF_SCOPE(name)                                                  \
-    ::aw::obs::ZoneScope AW_PROF_CONCAT(awProfZone_, __LINE__)(name)
+/** Open a profiling zone covering the rest of the enclosing scope:
+ *  AW_PROF_SCOPE(name) or AW_PROF_SCOPE(name, ZoneKind::TallyOnly). */
+#define AW_PROF_SCOPE(...)                                                   \
+    ::aw::obs::ZoneScope AW_PROF_CONCAT(awProfZone_, __LINE__)(__VA_ARGS__)
 
 } // namespace aw::obs

@@ -240,10 +240,9 @@ namespace {
 
 /** Env knobs worth recording when set: they change what a number means. */
 const char *const kRecordedEnv[] = {
-    "AW_THREADS",       "AW_SIM_THREADS",   "AW_SIM_DETAIL",
-    "AW_CACHE",         "AW_FAULTS",        "AW_POWERSCOPE",
-    "AW_PHASES",        "AW_BENCH_ROUNDS",  "AW_BENCH_FILTER",
-    "AW_BENCH_SLOWDOWN"};
+    "AW_THREADS",      "AW_SIM_THREADS",  "AW_SIM_DETAIL",
+    "AW_CACHE",        "AW_FAULTS",       "AW_POWERSCOPE",
+    "AW_BENCH_ROUNDS", "AW_BENCH_FILTER", "AW_BENCH_SLOWDOWN"};
 
 } // namespace
 

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "common/log.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/trace.hpp"
 #include "sim/shard.hpp"
 
@@ -107,7 +106,7 @@ GpuSimulator::runSass(const KernelDescriptor &desc,
 {
     WarpProgram program;
     {
-        obs::PhaseScope tracegenPhase(obs::SimPhase::Tracegen);
+        AW_PROF_SCOPE("sim/tracegen");
         program = generateSassProgram(desc);
     }
     return run(desc, program, opts);
@@ -119,7 +118,7 @@ GpuSimulator::runPtx(const KernelDescriptor &desc,
 {
     WarpProgram program;
     {
-        obs::PhaseScope tracegenPhase(obs::SimPhase::Tracegen);
+        AW_PROF_SCOPE("sim/tracegen");
         program = generatePtxProgram(desc);
     }
     return run(desc, program, opts);

@@ -85,16 +85,15 @@ void setSimDetail(int n);
 /**
  * Execution statistics of the most recent GpuSimulator::run on the
  * calling thread (thread-local, so concurrent pipeline tasks cannot
- * race): shard and thread shape, per-shard busy time and issue
- * counters. PerfLab's `sim_scaling` bench takes the slowest shard's
- * busy time as a run's critical path.
+ * race): shard and thread shape and issue counters. Run and shard
+ * times come from the profiler's `sim/kernel` and `sim/wave` zones
+ * (obs/trace.hpp).
  */
 struct SimRunStats
 {
     int shards = 1;  ///< shards run: the effective (clamped) detail groups
     int threads = 1; ///< worker threads used: the cap, at most one per shard
     bool cancelled = false; ///< run stopped early on SimOptions::cancel
-    double simulateSec = 0; ///< wall seconds until the last shard finished
     long issuedInsts = 0;   ///< summed over shards, in SM-index order
     /** SmCore steps with at least one issue / with none, summed over
      *  shards. Steps, not simulated cycles: a fast-forward across many
@@ -102,7 +101,6 @@ struct SimRunStats
      *  the step count. */
     long issueCycles = 0;
     long stallCycles = 0;
-    std::vector<double> shardBusySec;  ///< busy seconds per shard
 };
 
 /** Stats of the calling thread's most recent run (see SimRunStats). */

@@ -1,27 +1,17 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/trace.hpp"
 
 namespace aw {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /** One detailed SM group and its private simulation state. */
 struct Shard
@@ -33,7 +23,6 @@ struct Shard
     double now = 0;
     bool cancelled = false;
     std::vector<ActivitySample> samples;
-    double busySec = 0;
 };
 
 bool
@@ -54,11 +43,9 @@ cancelRequested(const SimOptions &opts)
 void
 runShard(Shard &sh, const SimOptions &opts)
 {
+    // The zone's self time is the issue loop's: the `sim/memory` zones
+    // opened in SmCore::memoryLatency and `sim/sample` below nest in it.
     AW_PROF_SCOPE("sim/wave");
-    // The issue phase owns the loop; the memory scopes opened inside
-    // SmCore::memoryLatency and the sampling scope below subtract
-    // themselves, leaving scheduling + issue time.
-    obs::PhaseScope issuePhase(obs::SimPhase::Issue);
     const double interval = opts.sampleIntervalCycles;
     const double cap = static_cast<double>(opts.maxCycles);
     SmCore &sm = *sh.sm;
@@ -67,7 +54,7 @@ runShard(Shard &sh, const SimOptions &opts)
     while (!sh.cancelled && !sm.done() && sh.now < cap) {
         double next = sm.step(sh.now);
         if (next >= sampleStart + interval) {
-            obs::PhaseScope samplingPhase(obs::SimPhase::Sampling);
+            AW_PROF_SCOPE("sim/sample", obs::ZoneKind::TallyOnly);
             ActivitySample s = sm.drainActivity();
             s.cycles = interval;
             sh.samples.push_back(std::move(s));
@@ -247,7 +234,7 @@ runShardedSim(const GpuConfig &gpu, const KernelDescriptor &desc,
 {
     std::vector<Shard> shards;
     {
-        obs::PhaseScope setupPhase(obs::SimPhase::Setup);
+        AW_PROF_SCOPE("sim/setup");
         ShardPlan plan = planShards(shape.activeSms, detail);
         shards.resize(plan.smCounts.size());
         for (size_t g = 0; g < shards.size(); ++g) {
@@ -276,27 +263,21 @@ runShardedSim(const GpuConfig &gpu, const KernelDescriptor &desc,
     stats.threads =
         static_cast<int>(std::min(static_cast<size_t>(threadCap), numShards));
 
-    // One task per shard, run to completion. The caller holds no phase
-    // scope across this region: workers attribute their own time (see
-    // obs/phase_timer.hpp). One shard runs inline on the caller.
-    const Clock::time_point simStart = Clock::now();
-    parallelForWith(stats.threads, numShards, [&](size_t g) {
-        const Clock::time_point t0 = Clock::now();
-        runShard(shards[g], opts);
-        shards[g].busySec = secondsSince(t0);
-    });
-    stats.simulateSec = secondsSince(simStart);
+    // One task per shard, run to completion; one shard runs inline on
+    // the caller. A shard run on a pool worker opens its `sim/wave`
+    // zone on that worker's stack, so the caller's `sim/kernel` counts
+    // the wait for it as self time (obs/trace.hpp, "Parallel regions").
+    parallelForWith(stats.threads, numShards,
+                    [&](size_t g) { runShard(shards[g], opts); });
 
-    obs::PhaseScope finalizePhase(obs::SimPhase::Finalize);
+    AW_PROF_SCOPE("sim/finalize");
     double maxNow = 0;
-    stats.shardBusySec.reserve(numShards);
     for (const Shard &sh : shards) {
         if (!sh.sm->done() && !sh.cancelled)
             warn("simulation of %s (shard sm %d+) hit the cycle cap (%ld)",
                  desc.name.c_str(), sh.firstSm, opts.maxCycles);
         stats.cancelled = stats.cancelled || sh.cancelled;
         maxNow = std::max(maxNow, sh.now);
-        stats.shardBusySec.push_back(sh.busySec);
         stats.issuedInsts += sh.sm->issuedInsts();
         stats.issueCycles += sh.sm->issueCycles();
         stats.stallCycles += sh.sm->stallCycles();

@@ -215,23 +215,6 @@ TEST(HistogramTest, ConcurrentRecords)
     EXPECT_DOUBLE_EQ(s.max, 4.0);
 }
 
-TEST(TimerTest, ScopeRecordsPositiveDuration)
-{
-    Registry reg;
-    Timer &t = reg.timer("test.timer");
-    {
-        auto scope = t.scope();
-        (void)scope;
-    }
-    EXPECT_EQ(t.count(), 1u);
-    EXPECT_GE(t.totalSec(), 0.0);
-
-    auto scope = t.scope();
-    scope.stop();
-    scope.stop(); // idempotent
-    EXPECT_EQ(t.count(), 2u);
-}
-
 TEST(RegistryTest, SnapshotIsNameOrdered)
 {
     Registry reg;

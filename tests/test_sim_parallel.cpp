@@ -344,7 +344,6 @@ TEST(SimParallel, RunStatsDescribeTheShardedRun)
     EXPECT_EQ(stats.shards, 8);
     EXPECT_EQ(stats.threads, 4);
     EXPECT_FALSE(stats.cancelled);
-    ASSERT_EQ(stats.shardBusySec.size(), 8u);
     EXPECT_GT(stats.issuedInsts, 0);
     // Memory traffic reaches the merged samples as access counts.
     ActivitySample total = act.aggregate();

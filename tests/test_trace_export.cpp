@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests of the profiling-zone collector and the run-telemetry sink:
- * zone nesting, per-thread buffers, Chrome trace-event export, and the
- * telemetry JSON/CSV documents (all round-tripped through the strict
- * JSON parser).
+ * zone nesting, per-thread buffers, per-zone tallies and their
+ * exclusive-time rule, tally-only zones in the simulator, Chrome
+ * trace-event export, and the telemetry JSON/CSV documents (all
+ * round-tripped through the strict JSON parser).
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -22,6 +25,8 @@
 #include "obs/powerscope.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "sim/gpusim.hpp"
+#include "trace/workload.hpp"
 
 using namespace aw;
 using namespace aw::obs;
@@ -43,6 +48,40 @@ class ProfilerTest : public testing::Test
     }
 };
 
+/** Zone tallies by name; a name that never closed reads all zeros. */
+ZoneStat
+zoneStat(const std::string &name)
+{
+    for (ZoneStat &z : Profiler::instance().zoneStats())
+        if (z.name == name)
+            return z;
+    return ZoneStat{name};
+}
+
+void
+spinFor(double sec)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    volatile double sink = 0;
+    while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+               .count() < sec)
+        sink = sink + 1.0;
+}
+
+/** A kernel whose memory instructions open the `sim/memory` zone. */
+KernelDescriptor
+memoryKernel(int iterations)
+{
+    KernelDescriptor k = makeKernel("zone_memory",
+                                    {{OpClass::FpFma, 0.5},
+                                     {OpClass::LdGlobal, 0.5}},
+                                    16, 4);
+    k.memFootprintKb = 256;
+    k.iterations = iterations;
+    return k;
+}
+
 TEST_F(ProfilerTest, DisabledProfilerRecordsNothing)
 {
     Profiler::instance().setEnabled(false);
@@ -50,6 +89,152 @@ TEST_F(ProfilerTest, DisabledProfilerRecordsNothing)
         AW_PROF_SCOPE("off/zone");
     }
     EXPECT_TRUE(Profiler::instance().events().empty());
+    EXPECT_TRUE(Profiler::instance().zoneStats().empty());
+}
+
+TEST_F(ProfilerTest, NestedScopesAttributeExclusiveTime)
+{
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point outerStart = Clock::now();
+    {
+        AW_PROF_SCOPE("sim/wave");
+        spinFor(0.02);
+        {
+            AW_PROF_SCOPE("sim/memory", ZoneKind::TallyOnly);
+            spinFor(0.02);
+        }
+        spinFor(0.02);
+    }
+    const double outer =
+        std::chrono::duration<double>(Clock::now() - outerStart).count();
+
+    const ZoneStat issue = zoneStat("sim/wave");
+    const ZoneStat memory = zoneStat("sim/memory");
+    EXPECT_EQ(issue.count, 1u);
+    EXPECT_EQ(memory.count, 1u);
+    // Exclusive attribution: the parent keeps its own wall time minus
+    // the child's, however long a loaded host stretches either. The
+    // outer clock reads bracket the zone's own, so they differ only by
+    // the zone's bookkeeping.
+    const double issueSec = issue.selfUs * 1e-6;
+    const double memorySec = memory.selfUs * 1e-6;
+    EXPECT_GE(memorySec, 0.02); // the child spun for at least 20 ms
+    // The parent's own two spins lie inside its zone and outside the
+    // child's, so no charge of parent time to the child can pass this.
+    EXPECT_GE(issueSec, 0.04);
+    EXPECT_NEAR(issueSec, outer - memorySec, 1e-3);
+    EXPECT_GE(outer - issueSec, 0.02) << "the child was not subtracted";
+    double selfSec = 0;
+    for (const ZoneStat &z : Profiler::instance().zoneStats())
+        selfSec += z.selfUs * 1e-6;
+    EXPECT_NEAR(selfSec, issueSec + memorySec, 1e-12);
+    // The tally-only child nests and tallies but adds no trace event.
+    ASSERT_EQ(Profiler::instance().events().size(), 1u);
+    EXPECT_EQ(Profiler::instance().events()[0].name, "sim/wave");
+}
+
+TEST_F(ProfilerTest, SelfTimesSumToOutermostInclusiveTime)
+{
+    {
+        AW_PROF_SCOPE("test/outer");
+        GpuSimulator sim(voltaGV100());
+        (void)sim.runSass(memoryKernel(8));
+        (void)sim.runPtx(memoryKernel(8));
+    }
+    const std::vector<ZoneStat> zones = Profiler::instance().zoneStats();
+    double selfUs = 0;
+    for (const ZoneStat &z : zones) {
+        EXPECT_GE(z.selfUs, 0.0) << z.name;
+        EXPECT_LE(z.selfUs, z.totalUs) << z.name;
+        selfUs += z.selfUs;
+    }
+    const ZoneStat outer = zoneStat("test/outer");
+    ASSERT_EQ(outer.count, 1u);
+    EXPECT_GT(zoneStat("sim/memory").count, 0u);
+    EXPECT_EQ(zoneStat("sim/wave").count, 2u);
+    EXPECT_NEAR(selfUs, outer.totalUs, 1e-9 * outer.totalUs);
+}
+
+TEST_F(ProfilerTest, TallyOnlyZonesAddNoTraceEventsPerInstruction)
+{
+    auto profiledRun = [](int iterations, uint64_t &memoryZones) {
+        Profiler::instance().clear();
+        GpuSimulator sim(voltaGV100());
+        (void)sim.runSass(memoryKernel(iterations));
+        memoryZones = zoneStat("sim/memory").count;
+        return Profiler::instance().events().size();
+    };
+    uint64_t shortZones = 0, longZones = 0;
+    const size_t shortEvents = profiledRun(4, shortZones);
+    const size_t longEvents = profiledRun(32, longZones);
+    EXPECT_EQ(shortEvents, longEvents);
+    EXPECT_GT(shortZones, 0u);
+    EXPECT_GT(longZones, shortZones);
+}
+
+TEST_F(ProfilerTest, SimulatorOutputBitIdenticalWithLayerToggled)
+{
+    KernelDescriptor k = makeKernel("phase_identity",
+                                    {{OpClass::FpFma, 0.5},
+                                     {OpClass::LdGlobal, 0.5}},
+                                    16, 4);
+    k.memFootprintKb = 256;
+
+    Profiler::instance().setEnabled(false);
+    GpuSimulator simOff(voltaGV100());
+    KernelActivity off = simOff.runSass(k);
+
+    Profiler::instance().setEnabled(true);
+    GpuSimulator simOn(voltaGV100());
+    KernelActivity on = simOn.runSass(k);
+    EXPECT_GT(zoneStat("sim/memory").count, 0u);
+
+    ASSERT_EQ(off.samples.size(), on.samples.size());
+    EXPECT_EQ(off.totalCycles, on.totalCycles);
+    EXPECT_EQ(off.elapsedSec, on.elapsedSec);
+    auto aggOff = off.aggregate();
+    auto aggOn = on.aggregate();
+    EXPECT_EQ(aggOff.cycles, aggOn.cycles);
+    for (size_t c = 0; c < aggOff.accesses.size(); ++c)
+        EXPECT_EQ(aggOff.accesses[c], aggOn.accesses[c]);
+}
+
+TEST_F(ProfilerTest, ZoneStatsReadableWhileShardsRecord)
+{
+    // Shard workers close zones on pool threads while this thread reads
+    // the tallies: the TSan leg races the two for real.
+    std::atomic<bool> done{false};
+    std::thread runner([&done] {
+        GpuSimulator sim(voltaGV100());
+        SimOptions opts;
+        opts.detailSms = 8;
+        opts.simThreads = 4;
+        (void)sim.runSass(memoryKernel(64), opts);
+        done.store(true, std::memory_order_release);
+    });
+    bool selfWithinTotal = true;
+    do {
+        for (const ZoneStat &z : Profiler::instance().zoneStats())
+            selfWithinTotal &= z.selfUs <= z.totalUs + 1e-6;
+    } while (!done.load(std::memory_order_acquire));
+    runner.join();
+    EXPECT_TRUE(selfWithinTotal);
+    EXPECT_EQ(zoneStat("sim/wave").count, 8u);
+    EXPECT_EQ(zoneStat("sim/kernel").count, 1u);
+    EXPECT_GT(zoneStat("sim/memory").count, 0u);
+}
+
+TEST_F(ProfilerTest, EmittedEventsAppearInZoneStats)
+{
+    Profiler::instance().emit({"awd/request hit", 10.0, 250.0, 900, 0});
+    {
+        AW_PROF_SCOPE("awd/zone");
+    }
+    const ZoneStat span = zoneStat("awd/request hit");
+    EXPECT_EQ(span.count, 1u);
+    EXPECT_DOUBLE_EQ(span.totalUs, 250.0);
+    EXPECT_DOUBLE_EQ(span.selfUs, 250.0);
+    EXPECT_EQ(zoneStat("awd/zone").count, 1u);
 }
 
 TEST_F(ProfilerTest, ZonesNestWithDepthAndContainment)
@@ -282,6 +467,8 @@ TEST_F(SinkFileTest, MetricsAndTraceSinksRoundTripThroughStrictParser)
     JsonValue m = parseJson(slurp(mp));
     EXPECT_EQ(m.at("schema").asString(), "aw.telemetry.v1");
     EXPECT_TRUE(m.at("metrics").find("sink_file_test.count") != nullptr);
+    ASSERT_EQ(m.at("zones").array.size(), 1u);
+    EXPECT_TRUE(m.at("zones").array[0].find("self_us") != nullptr);
     JsonValue t = parseJson(slurp(tp));
     EXPECT_TRUE(t.at("traceEvents").isArray());
 }
